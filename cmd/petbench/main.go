@@ -51,29 +51,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		loads     = fs.String("loads", "0.3,0.5,0.7", "comma-separated offered loads")
 		quick     = fs.Bool("quick", false, "shrink training and measurement windows")
 		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
-		listS     = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT     = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		version   = fs.Bool("version", false, "print the build identity and exit")
 	)
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
+	var info pet.InfoFlags
+	info.Register(fs, "list-schemes", "list-transports")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
-		fmt.Fprintln(stdout, pet.ReadBuildInfo())
-		return 0
-	}
-	if *listS {
-		for _, name := range pet.SchemeNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listT {
-		for _, name := range pet.TransportNames() {
-			fmt.Fprintln(stdout, name)
-		}
+	if info.Handle(stdout) {
 		return 0
 	}
 

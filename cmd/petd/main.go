@@ -8,8 +8,8 @@
 //	petd                                      # lifecycle API + telemetry only
 //	petd -addr :9090 -max-jobs 2              # two experiments simulate at once
 //	petd -models pet.model -topo tiny         # also serve POST /infer
-//	petd -models ckpt/                        # bundle from a fleet checkpoint dir
 //	petd -store models/                       # versioned store: /models API, boot from "serving"
+//	petd -store ckpt/                         # a pettrain -checkpoint directory is a store
 //	petd -list-schemes                        # registered scheme names
 //
 // Endpoints:
@@ -47,6 +47,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -64,10 +65,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":9090", "listen address (\":0\" binds an ephemeral port, reported on stdout)")
-		models   = fs.String("models", "", "serve POST /infer from this model bundle file or fleet checkpoint directory")
+		models   = fs.String("models", "", "serve POST /infer from this model bundle file (a pettrain -checkpoint directory goes to -store)")
 		storeDir = fs.String("store", "", "versioned model store directory: enables the /models API and, without -models, boots /infer from the store's \"serving\" channel")
 		keep     = fs.Int("keep-versions", 0, "store GC retention after each promotion (0 = 5; channel-pinned versions always survive)")
-		topoF    = fs.String("topo", "tiny", "fabric the bundle was trained on: tiny|small|paper")
+		topoF    = fs.String("topo", "tiny", "fabric the bundle was trained on: "+strings.Join(pet.TopoPresets(), "|"))
 		schemeF  = fs.String("scheme", "PET", "registered scheme name served by /infer (see -list-schemes)")
 		replicas = fs.Int("replicas", 0, "inference replica pool size = max concurrent /infer requests (0 = one per core)")
 		maxJobs  = fs.Int("max-jobs", 1, "experiments simulating concurrently (excess queue as pending)")
@@ -78,27 +79,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		sse      = fs.Duration("sse", time.Second, "default /events push interval (per-client ?interval= overrides)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful shutdown budget for jobs and connections")
 		quiet    = fs.Bool("q", false, "suppress job progress on stderr")
-		listS    = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT    = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		version  = fs.Bool("version", false, "print the build identity and exit")
 	)
+	var info pet.InfoFlags
+	info.Register(fs, "list-schemes", "list-transports")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
-		fmt.Fprintln(stdout, pet.ReadBuildInfo())
-		return 0
-	}
-	if *listS {
-		for _, name := range pet.SchemeNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listT {
-		for _, name := range pet.TransportNames() {
-			fmt.Fprintln(stdout, name)
-		}
+	if info.Handle(stdout) {
 		return 0
 	}
 
@@ -110,6 +97,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if !*quiet {
 			fmt.Fprintf(stderr, "petd: "+format+"\n", args...)
 		}
+	}
+
+	if st, err := os.Stat(*models); err == nil && st.IsDir() {
+		return fatalf("-models takes a bundle file; %s is a directory — a pettrain -checkpoint directory is a model store, pass it to -store", *models)
 	}
 
 	reg := pet.NewTelemetry()
@@ -142,15 +133,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var infer *pet.InferService
 	if *models != "" {
-		bundle, src, err := loadBundle(*models, logf)
+		bundle, err := os.ReadFile(*models)
 		if err != nil {
 			notReady("model bundle %s unusable: %v", *models, err)
 		} else if infer, err = pet.NewInferService(bundle, inferOpts); err != nil {
 			notReady("model bundle %s rejected: %v", *models, err)
 		} else {
-			info := infer.Info()
-			logf("serving %s (%s, sha256 %.12s…, %d switches, %d replicas)",
-				*models, src, info.ModelSHA256, len(info.Switches), info.Replicas)
+			served := infer.Info()
+			logf("serving %s (sha256 %.12s…, %d switches, %d replicas)",
+				*models, served.ModelSHA256, len(served.Switches), served.Replicas)
 		}
 	} else if store != nil {
 		// Boot from the store's serving channel when it has one, so a
@@ -214,24 +205,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	logf("bye")
 	return 0
-}
-
-// loadBundle reads the /infer model bundle: a regular file holds raw
-// EncodeModels bytes (petsim/pettrain -out format); a directory is a fleet
-// checkpoint whose newest intact, sha256-verified round is used — any
-// skipped (corrupt or torn) candidates are logged through logf.
-func loadBundle(path string, logf func(format string, a ...any)) (bundle []byte, src string, err error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, "", err
-	}
-	if st.IsDir() {
-		models, round, err := pet.LoadFleetCheckpointLogged(path, logf)
-		if err != nil {
-			return nil, "", err
-		}
-		return models, fmt.Sprintf("checkpoint round %d", round), nil
-	}
-	data, err := os.ReadFile(path)
-	return data, "bundle file", err
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -77,8 +79,7 @@ func getJSON(t *testing.T, url string, v any) {
 }
 
 // TestDaemonSmoke drives the daemon end to end over real HTTP: lifecycle,
-// SSE, inference, graceful shutdown. This is the test `make serve-smoke`
-// runs in CI.
+// SSE, inference, graceful shutdown — the daemon's smoke test.
 func TestDaemonSmoke(t *testing.T) {
 	bundle, err := trainedBundle()
 	if err != nil {
@@ -346,28 +347,62 @@ func TestDaemonStoreEmptyNotReady(t *testing.T) {
 	}
 }
 
-// TestDaemonCheckpointModels: -models accepts a fleet checkpoint directory,
-// reusing the sha256-verified manifest machinery.
-func TestDaemonCheckpointModels(t *testing.T) {
+// TestDaemonCheckpointStore: a fleet checkpoint directory is a model store.
+// -store on it lists the checkpointed rounds under /models with candidate on
+// the newest, and promoting candidate serves exactly the trained bundle;
+// -models on it is a usage error pointing at -store.
+func TestDaemonCheckpointStore(t *testing.T) {
 	dir := t.TempDir()
 	res, err := pet.PretrainFleet(pet.Scenario{Topo: pet.TinyScale(), Load: 0.5, Seed: 1},
-		5*pet.Millisecond, pet.FleetConfig{Workers: 1, Rounds: 1, Checkpoint: dir})
+		8*pet.Millisecond, pet.FleetConfig{Workers: 1, Rounds: 2, Checkpoint: dir})
 	if err != nil {
 		t.Fatalf("fleet pretrain: %v", err)
 	}
-	if len(res.Models) == 0 {
-		t.Fatal("fleet produced no models")
+
+	var out, errb bytes.Buffer
+	if code := run(context.Background(), []string{"-models", dir}, &out, &errb); code == 0 || !strings.Contains(errb.String(), "-store") {
+		t.Fatalf("-models <checkpoint dir>: exit %d, stderr %q; want an error naming -store", code, errb.String())
 	}
 
-	base, stop := startDaemon(t, "-models", dir, "-replicas", "1")
+	base, stop := startDaemon(t, "-store", dir, "-replicas", "1")
+	var list struct {
+		Channels map[string]int `json:"channels"`
+		Versions []struct {
+			Version int    `json:"version"`
+			Source  string `json:"source"`
+			Meta    struct {
+				Round int `json:"round"`
+			} `json:"meta"`
+		} `json:"versions"`
+	}
+	getJSON(t, base+"/models", &list)
+	if len(list.Versions) != 2 || list.Channels["candidate"] != 2 {
+		t.Fatalf("/models on a checkpoint directory = %+v, want 2 rounds with candidate on the newest", list)
+	}
+	for i, v := range list.Versions {
+		if v.Meta.Round != i+1 || !strings.Contains(v.Source, "fleet round") {
+			t.Fatalf("version %d = %+v, want fleet round %d", v.Version, v, i+1)
+		}
+	}
+
+	resp, err := http.Post(base+"/models/candidate/promote", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote candidate = %d: %s", resp.StatusCode, pbody)
+	}
 	var hz struct {
 		Infer *struct {
 			ModelSHA256 string `json:"model_sha256"`
 		} `json:"infer"`
 	}
 	getJSON(t, base+"/healthz", &hz)
-	if hz.Infer == nil || hz.Infer.ModelSHA256 == "" {
-		t.Fatalf("checkpoint-backed daemon reports no bundle: %+v", hz)
+	sum := sha256.Sum256(res.Models)
+	if hz.Infer == nil || hz.Infer.ModelSHA256 != hex.EncodeToString(sum[:]) {
+		t.Fatalf("serving %+v, want the trained bundle %x", hz.Infer, sum)
 	}
 	if code := stop(); code != 0 {
 		t.Fatalf("petd exited %d", code)

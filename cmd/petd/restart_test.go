@@ -61,10 +61,13 @@ func TestKillRestartResume(t *testing.T) {
 	}
 
 	getStatus := func(base, id string) (st struct {
-		State   string `json:"state"`
-		Rounds  int    `json:"rounds"`
-		Resumed bool   `json:"resumed"`
-		Error   string `json:"error"`
+		State    string `json:"state"`
+		Rounds   int    `json:"rounds"`
+		Resumed  bool   `json:"resumed"`
+		Error    string `json:"error"`
+		Pretrain *struct {
+			ResumedFrom int `json:"resumed_from"`
+		} `json:"pretrain"`
 	}) {
 		t.Helper()
 		resp, err := http.Get(base + "/experiments/" + id)
@@ -100,12 +103,14 @@ func TestKillRestartResume(t *testing.T) {
 	// Let at least one round land (one checkpoint on disk), then kill -9
 	// mid-run.
 	deadline := time.Now().Add(2 * time.Minute)
+	seenRounds := 0
 	for {
 		st := getStatus(base, job.ID)
 		if st.Rounds >= 1 {
 			if st.State == "done" {
 				t.Fatalf("job finished before the kill could land; raise the round count: %+v", st)
 			}
+			seenRounds = st.Rounds
 			break
 		}
 		if time.Now().After(deadline) {
@@ -117,6 +122,21 @@ func TestKillRestartResume(t *testing.T) {
 		t.Fatalf("SIGKILL: %v", err)
 	}
 	_ = cmd.Wait()
+
+	// The checkpoint directory is a model store whose newest version is the
+	// newest durable round. A round is reported only after its version-log
+	// line is appended, so the kill cost at most the round in flight.
+	store, err := pet.OpenModelStore(ckpt)
+	if err != nil {
+		t.Fatalf("checkpoint directory after SIGKILL does not open as a store: %v", err)
+	}
+	newest, ok := store.Latest()
+	var durable struct {
+		Round int `json:"round"`
+	}
+	if !ok || json.Unmarshal(newest.Meta, &durable) != nil || durable.Round < seenRounds {
+		t.Fatalf("durable round %d (version %+v) after the job reported %d completed rounds", durable.Round, newest, seenRounds)
+	}
 
 	// Restart with the same flags: the journal replays, the job resumes
 	// from its checkpoint under the original ID and finishes.
@@ -131,6 +151,9 @@ func TestKillRestartResume(t *testing.T) {
 		if st.State == "done" {
 			if !st.Resumed {
 				t.Fatalf("finished job not marked resumed: %+v", st)
+			}
+			if st.Pretrain == nil || st.Pretrain.ResumedFrom < durable.Round {
+				t.Fatalf("resumed from %+v, want the durable round %d", st.Pretrain, durable.Round)
 			}
 			break
 		}

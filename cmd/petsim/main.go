@@ -48,43 +48,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dur        = fs.Duration("duration", 60*time.Millisecond, "simulated measurement window")
 		seed       = fs.Int64("seed", 1, "root random seed")
 		traceF     = fs.String("trace", "", "write an event trace CSV to this path")
-		listS      = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT      = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		listW      = fs.Bool("list-workloads", false, "print the registered workload names and exit")
-		listE      = fs.Bool("list-events", false, "print the registered event kinds and exit")
-		version    = fs.Bool("version", false, "print the build identity and exit")
 	)
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
+	var info pet.InfoFlags
+	info.Register(fs, "list-schemes", "list-transports", "list-workloads", "list-events")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
-		fmt.Fprintln(stdout, pet.ReadBuildInfo())
-		return 0
-	}
-	if *listS {
-		for _, name := range pet.SchemeNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listT {
-		for _, name := range pet.TransportNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listW {
-		for _, name := range pet.WorkloadNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listE {
-		for _, name := range pet.EventKindNames() {
-			fmt.Fprintln(stdout, name)
-		}
+	if info.Handle(stdout) {
 		return 0
 	}
 

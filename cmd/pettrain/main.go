@@ -10,17 +10,21 @@
 //	pettrain -workers 8 -rounds 40 -checkpoint ckpt/ -resume -out pet.model
 //	pettrain -workers 4 -rounds 50 -telemetry :8080 -out pet.model
 //	pettrain -workers 8 -retries 3 -episode-timeout 2m -quorum 6 -out pet.model
-//	pettrain -rounds 20 -checkpoint ckpt/ -store models/ -out pet.model
 //	petsim -scheme PET -models pet.model
+//	petd -store ckpt/                      # promote and serve the checkpointed rounds
 //
 // -duration is the simulated training time of one episode; every round each
 // worker runs one episode and the learned weights are merged, so total
 // simulated training is duration × workers × rounds. With -workers=1
 // -rounds=1 (the default) the bundle is bit-identical to the historical
-// sequential pre-training. -checkpoint makes each round's merged bundle
-// crash-safe on disk; -resume continues an interrupted run from it. A
-// resumed run must keep the checkpoint's -workers count (episode seeds
-// derive from it); pass -allow-worker-change to override knowingly.
+// sequential pre-training. -checkpoint names a model store directory: each
+// round's merged bundle lands there as a new version on the "candidate"
+// channel (the last three rounds keep their bytes), so -resume continues an
+// interrupted run from it — falling back to an older round when the newest
+// bundle is corrupt — and `petd -store` on the same directory promotes and
+// serves what was trained. A resumed run must keep the checkpoint's -workers
+// count (episode seeds derive from it); pass -allow-worker-change to
+// override knowingly.
 //
 // -scenario loads a versioned scenario document (the same JSON petsim and
 // petd accept) as the training environment: topology, workload, load,
@@ -32,11 +36,10 @@
 // episode retries up to -retries times (each attempt on a fresh
 // deterministic seed), -episode-timeout bounds one attempt in wall-clock
 // time, and -quorum lets a round merge with that many successful episodes
-// instead of all of them (such rounds are flagged degraded). -keep-checkpoints
-// retains that many round-stamped bundles so -resume falls back to an older
-// round when the newest bundle is corrupt. SIGINT/SIGTERM cancels the run
-// gracefully: in-flight episodes drain, a final checkpoint covers the last
-// completed round, and pettrain exits 130 with a -resume hint.
+// instead of all of them (such rounds are flagged degraded). SIGINT/SIGTERM
+// cancels the run gracefully: in-flight episodes drain, a final checkpoint
+// covers the last completed round, and pettrain exits 130 with a -resume
+// hint.
 //
 // -telemetry addr serves live metrics over HTTP while training: /metrics
 // (Prometheus text format), /snapshot (JSON) and /debug/pprof (CPU/heap
@@ -83,47 +86,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out       = fs.String("out", "pet.model", "output model bundle path")
 		workers   = fs.Int("workers", 1, "parallel rollout workers (0 = all cores)")
 		rounds    = fs.Int("rounds", 1, "synchronized merge rounds")
-		ckpt      = fs.String("checkpoint", "", "checkpoint directory (atomic per-round bundle + manifest)")
+		ckpt      = fs.String("checkpoint", "", "checkpoint directory: a model store taking each round as a version (petd -store reads it)")
 		resume    = fs.Bool("resume", false, "resume from the last checkpoint in -checkpoint")
 		allowWC   = fs.Bool("allow-worker-change", false, "permit resuming with a different worker count (changes the training trajectory)")
 		retries   = fs.Int("retries", 2, "per-episode retries after a failure, panic or blown deadline (fresh seed per attempt)")
 		epTimeout = fs.Duration("episode-timeout", 0, "wall-clock deadline per episode attempt (0 = unbounded)")
 		quorum    = fs.Int("quorum", 0, "minimum successful episodes to merge a round (0 = all workers; less marks the round degraded)")
-		keepCkpt  = fs.Int("keep-checkpoints", 3, "round-stamped bundles retained for corruption fallback on resume")
 		traceCSV  = fs.String("tracecsv", "", "write per-round telemetry as CSV to this file")
 		quiet     = fs.Bool("q", false, "suppress per-round progress on stderr")
-		storeDir  = fs.String("store", "", "publish each checkpointed round into this versioned model store (requires -checkpoint)")
-		storeCh   = fs.String("store-channel", "", "store channel the published versions land on (default \"candidate\")")
-		listS     = fs.Bool("list-schemes", false, "print the registered scheme names and exit")
-		listT     = fs.Bool("list-transports", false, "print the registered transport names and exit")
-		listW     = fs.Bool("list-workloads", false, "print the registered workload names and exit")
-		version   = fs.Bool("version", false, "print the build identity and exit")
 	)
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
+	var info pet.InfoFlags
+	info.Register(fs, "list-schemes", "list-transports", "list-workloads")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *version {
-		fmt.Fprintln(stdout, pet.ReadBuildInfo())
-		return 0
-	}
-	if *listS {
-		for _, name := range pet.SchemeNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listT {
-		for _, name := range pet.TransportNames() {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
-	}
-	if *listW {
-		for _, name := range pet.WorkloadNames() {
-			fmt.Fprintln(stdout, name)
-		}
+	if info.Handle(stdout) {
 		return 0
 	}
 
@@ -201,22 +180,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxRetries:        *retries,
 		EpisodeTimeout:    *epTimeout,
 		MinQuorum:         *quorum,
-		KeepCheckpoints:   *keepCkpt,
 		// Retries, stragglers, degraded rounds and checkpoint fallbacks
 		// are exceptional; surface them even under -q.
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, "pettrain: "+format+"\n", a...)
 		},
-	}
-	if *storeDir != "" {
-		st, err := pet.OpenModelStore(*storeDir)
-		if err != nil {
-			return fatalf(1, "opening model store: %v", err)
-		}
-		cfg.Store = st
-		cfg.StoreChannel = *storeCh
-	} else if *storeCh != "" {
-		return fatalf(2, "-store-channel needs -store")
 	}
 	if *traceCSV != "" {
 		// The CSV flush needs a registry even when nothing is served.

@@ -3,9 +3,8 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
+	"pet/internal/registry"
 	"pet/internal/topo"
 	"pet/internal/workload"
 )
@@ -62,37 +61,15 @@ type EventSpec struct {
 // wraps them with the event's position.
 type EventBuilder func(ev EventSpec) (func(*Env), error)
 
-var (
-	eventMu    sync.RWMutex
-	eventKinds = map[string]EventBuilder{}
-)
+var eventKinds registry.Map[string, EventBuilder]
 
 // RegisterEventKind makes a perturbation kind selectable by name via
 // EventSpec.Kind. It is intended for use from init functions; registering a
 // nil builder, an empty name, or the same name twice panics.
-func RegisterEventKind(kind string, build EventBuilder) {
-	eventMu.Lock()
-	defer eventMu.Unlock()
-	if kind == "" || build == nil {
-		panic("bench: RegisterEventKind with empty kind or nil builder")
-	}
-	if _, dup := eventKinds[kind]; dup {
-		panic(fmt.Sprintf("bench: RegisterEventKind called twice for %q", kind))
-	}
-	eventKinds[kind] = build
-}
+func RegisterEventKind(kind string, build EventBuilder) { eventKinds.Register(kind, build) }
 
 // EventKindNames lists every registered event kind, sorted.
-func EventKindNames() []string {
-	eventMu.RLock()
-	defer eventMu.RUnlock()
-	names := make([]string, 0, len(eventKinds))
-	for n := range eventKinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func EventKindNames() []string { return eventKinds.Names() }
 
 // UnknownEventKindError reports an EventSpec naming a kind no package has
 // registered.
@@ -105,9 +82,7 @@ func (e *UnknownEventKindError) Error() string {
 // Compile resolves the spec against the event-kind registry and returns the
 // schedulable Event — the adapter from the data form to the closure form.
 func (ev EventSpec) Compile() (Event, error) {
-	eventMu.RLock()
-	build, ok := eventKinds[ev.Kind]
-	eventMu.RUnlock()
+	build, ok := eventKinds.Lookup(ev.Kind)
 	if !ok {
 		return Event{}, &UnknownEventKindError{Kind: ev.Kind}
 	}

@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"pet/internal/netsim"
+	"pet/internal/registry"
 	"pet/internal/sim"
 	"pet/internal/topo"
 )
@@ -116,63 +115,26 @@ func (e *UnknownTransportError) Error() string {
 }
 
 var (
-	registryMu sync.RWMutex
-	schemes    = map[Scheme]SchemeBuilder{}
-	transports = map[TransportKind]TransportBuilder{}
+	schemes    registry.Map[Scheme, SchemeBuilder]
+	transports registry.Map[TransportKind, TransportBuilder]
 )
 
 // RegisterScheme makes a control scheme selectable by name via
 // Scenario.Scheme. It is intended for use from init functions; registering
 // a nil builder, an empty name, or the same name twice panics.
-func RegisterScheme(name Scheme, build SchemeBuilder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || build == nil {
-		panic("bench: RegisterScheme with empty name or nil builder")
-	}
-	if _, dup := schemes[name]; dup {
-		panic(fmt.Sprintf("bench: RegisterScheme called twice for %q", name))
-	}
-	schemes[name] = build
-}
+func RegisterScheme(name Scheme, build SchemeBuilder) { schemes.Register(name, build) }
 
 // RegisterTransport makes an end-host transport selectable by name via
 // Scenario.Transport. Same contract as RegisterScheme.
 func RegisterTransport(name TransportKind, build TransportBuilder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || build == nil {
-		panic("bench: RegisterTransport with empty name or nil builder")
-	}
-	if _, dup := transports[name]; dup {
-		panic(fmt.Sprintf("bench: RegisterTransport called twice for %q", name))
-	}
-	transports[name] = build
+	transports.Register(name, build)
 }
 
 // SchemeNames lists every registered scheme, sorted.
-func SchemeNames() []Scheme {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]Scheme, 0, len(schemes))
-	for n := range schemes {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
-}
+func SchemeNames() []Scheme { return schemes.Names() }
 
 // TransportNames lists every registered transport, sorted.
-func TransportNames() []TransportKind {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]TransportKind, 0, len(transports))
-	for n := range transports {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	return names
-}
+func TransportNames() []TransportKind { return transports.Names() }
 
 // ValidateScheme checks that a scheme name is registered, returning an
 // *UnknownSchemeError when it is not — the eager form of the check Run
@@ -190,9 +152,7 @@ func ValidateTransport(name TransportKind) error {
 }
 
 func schemeBuilder(name Scheme) (SchemeBuilder, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	b, ok := schemes[name]
+	b, ok := schemes.Lookup(name)
 	if !ok {
 		return nil, &UnknownSchemeError{Name: name}
 	}
@@ -200,9 +160,7 @@ func schemeBuilder(name Scheme) (SchemeBuilder, error) {
 }
 
 func transportBuilder(name TransportKind) (TransportBuilder, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	b, ok := transports[name]
+	b, ok := transports.Lookup(name)
 	if !ok {
 		return nil, &UnknownTransportError{Name: name}
 	}

@@ -3,6 +3,7 @@ package bench_test
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"pet/internal/bench"
@@ -93,14 +94,22 @@ func (s *fixedScheme) Start() {
 func (s *fixedScheme) SetTrain(bool)              {}
 func (s *fixedScheme) Overhead() map[string]int64 { return map[string]int64{"fixed_installs": 1} }
 
-func TestRegisterCustomSchemeFromOutside(t *testing.T) {
-	const name = bench.Scheme("test-fixed")
-	bench.RegisterScheme(name, func(e *bench.Env) (bench.ControlScheme, error) {
+const fixedSchemeName = bench.Scheme("test-fixed")
+
+// registerFixedScheme registers once per process: the registry outlives a
+// test, and -count=2 runs this file twice in one.
+var registerFixedScheme = sync.OnceFunc(func() {
+	bench.RegisterScheme(fixedSchemeName, func(e *bench.Env) (bench.ControlScheme, error) {
 		return &fixedScheme{
 			env: e,
 			cfg: netsim.ECNConfig{Enabled: true, KminBytes: 10 << 10, KmaxBytes: 40 << 10, Pmax: 0.1},
 		}, nil
 	})
+})
+
+func TestRegisterCustomSchemeFromOutside(t *testing.T) {
+	const name = fixedSchemeName
+	registerFixedScheme()
 	found := false
 	for _, n := range bench.SchemeNames() {
 		if n == name {

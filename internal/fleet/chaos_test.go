@@ -3,7 +3,11 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +20,11 @@ import (
 // chaosEpisode keeps fault-injection tests fast; determinism matters here,
 // trained-weight quality does not.
 const chaosEpisode = 2 * sim.Millisecond
+
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
 
 // chaosConfig is the common fast-retry baseline for fault tests.
 func chaosConfig(workers, rounds int) Config {
@@ -128,7 +137,7 @@ func TestQuorumFailureCheckpointsCompletedRounds(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("below-quorum round did not abort: err = %v", err)
 	}
-	m, _, lerr := LoadCheckpoint(dir)
+	m, _, _, lerr := loadDir(t, dir)
 	if lerr != nil {
 		t.Fatalf("no checkpoint after quorum failure: %v", lerr)
 	}
@@ -186,27 +195,30 @@ func TestFaultHangHitsDeadlineAndRetries(t *testing.T) {
 
 // Corrupting the newest retained bundle must not brick resume: the loader
 // falls back to the previous round's bundle and the rerun converges to the
-// exact bytes of an uninterrupted run.
+// exact bytes of an uninterrupted run. Episodes are long enough for the
+// weights to move every round: rounds with identical bundles would share one
+// content-addressed object, and rot in it would take all of them.
 func TestCheckpointFallbackAfterCorruption(t *testing.T) {
 	s := testScenario(34)
 	dir := t.TempDir()
-	straight, err := Pretrain(s, Config{Workers: 2, Rounds: 4, Episode: chaosEpisode})
+	straight, err := Pretrain(s, Config{Workers: 2, Rounds: 4, Episode: trainEpisode})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := Config{
-		Workers: 2, Rounds: 3, Episode: chaosEpisode, Checkpoint: dir,
-		Faults: &FaultPlan{CorruptBundles: []int{3}}, // newest bundle rots on disk
-	}
+	cfg := Config{Workers: 2, Rounds: 3, Episode: trainEpisode, Checkpoint: dir}
 	if _, err := Pretrain(s, cfg); err != nil {
 		t.Fatal(err)
 	}
+	corruptRound(t, dir, 3) // newest bundle rots on disk
+	rotted := roundObject(t, dir, 3)
 
 	var logs []string
+	reg := telemetry.New()
 	res, err := Pretrain(s, Config{
-		Workers: 2, Rounds: 4, Episode: chaosEpisode, Checkpoint: dir, Resume: true,
-		Logf: func(format string, a ...any) { logs = append(logs, format) },
+		Workers: 2, Rounds: 4, Episode: trainEpisode, Checkpoint: dir, Resume: true,
+		Logf:      func(format string, a ...any) { logs = append(logs, format) },
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatalf("resume with corrupt newest bundle: %v", err)
@@ -225,6 +237,17 @@ func TestCheckpointFallbackAfterCorruption(t *testing.T) {
 	}
 	if len(logs) == 0 {
 		t.Fatal("fallback logged nothing about the skipped checkpoint")
+	}
+	if got := reg.Snapshot().Counters["fleet_ckpt_fallbacks_total"]; got != 1 {
+		t.Errorf("fleet_ckpt_fallbacks_total = %d, want 1", got)
+	}
+	// Rerunning round 3 reproduced its exact bytes, and checkpointing them
+	// replaced the rotted copy rather than adopting it.
+	if m, _, fellBack, err := loadDir(t, dir); err != nil || fellBack || m.Round != 4 {
+		t.Fatalf("after the rerun: round=%d fellBack=%v err=%v, want round 4 clean", m.Round, fellBack, err)
+	}
+	if data, err := os.ReadFile(rotted); err != nil || sha256Hex(data)+".bundle" != filepath.Base(rotted) {
+		t.Fatalf("round 3's object is still corrupt after its rerun (err %v)", err)
 	}
 }
 
@@ -249,7 +272,7 @@ func TestPretrainContextCancelWritesFinalCheckpoint(t *testing.T) {
 	if res.Rounds != 1 {
 		t.Fatalf("completed rounds = %d, want 1", res.Rounds)
 	}
-	m, _, lerr := LoadCheckpoint(dir)
+	m, _, _, lerr := loadDir(t, dir)
 	if lerr != nil {
 		t.Fatalf("no final checkpoint after cancellation: %v", lerr)
 	}
@@ -293,19 +316,19 @@ func TestChaosEndToEndDeterministic(t *testing.T) {
 				{Round: 4, Worker: 1, Attempt: 0, Kind: FaultFail},
 				{Round: 4, Worker: 1, Attempt: 1, Kind: FaultFail},
 			},
-			CorruptBundles: []int{2},
 		}
 		cfg := Config{
-			Workers: 2, Rounds: 2, Episode: chaosEpisode,
+			Workers: 2, Rounds: 2, Episode: trainEpisode,
 			MaxRetries: 1, RetryBackoff: time.Millisecond,
 			EpisodeTimeout: 2 * time.Second, MinQuorum: 1,
 			Checkpoint: dir, Faults: plan,
 		}
-		// Phase 1: rounds 0–1 (panic at round 1 retried); the round-2
-		// bundle rots on disk right after its checkpoint.
+		// Phase 1: rounds 0–1 (panic at round 1 retried); then the round-2
+		// bundle rots on disk.
 		if _, err := Pretrain(s, cfg); err != nil {
 			t.Fatal(err)
 		}
+		corruptRound(t, dir, 2)
 		// Phase 2: resume. The corrupt bundle forces fallback to round 1,
 		// then rounds 1–4 rerun through the panic, the hang past the
 		// deadline, and the degraded round 4.

@@ -1,51 +1,38 @@
 package fleet
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+
+	"pet/internal/modelstore"
 )
 
-// Checkpoint layout: the directory holds the last KeepCheckpoints
-// round-stamped model bundles (fleet-NNNNNN.bundle), each paired with a
-// round-stamped manifest (fleet-NNNNNN.json), plus manifest.json pointing
-// at the newest pair. Writes are crash-safe by ordering: (1) the new
-// bundle lands under a fresh name via write-to-temp + rename, (2) its
-// round-stamped manifest follows, (3) manifest.json is atomically swapped
-// to point at it, (4) superseded pairs beyond the retention depth are
-// garbage-collected. Interruption at any point leaves at least one
-// (manifest, bundle) pair whose SHA-256 still matches, and LoadCheckpoint
-// falls back through the retained history newest-first, so one corrupted
-// bundle no longer bricks resume — never silently-corrupt weights.
+// A checkpoint directory is a model store (see modelstore for the layout):
+// a checkpointed round is one version whose log entry carries the run
+// Manifest as its Meta. The round is durable once that log line is
+// appended — object first, log second — so a crash before it leaves the
+// previous round resumable, and a line torn mid-append is dropped by the
+// store's log replay. The candidate channel follows the newest round, which
+// is what `petd -store <dir>` promotes from; the store's GC keeps the
+// newest keepRounds versions' bytes for resume to fall back through.
 
 const (
 	manifestVersion = 1
-	manifestName    = "manifest.json"
-	bundlePrefix    = "fleet-"
-	bundleSuffix    = ".bundle"
-	historySuffix   = ".json"
-
-	// defaultKeepCheckpoints is the bundle-history retention depth when
-	// the caller passes keep <= 0.
-	defaultKeepCheckpoints = 3
+	// keepRounds is the store GC depth after each checkpoint: depth >= 2
+	// survives the newest bundle rotting on disk.
+	keepRounds = 3
 )
 
-// Manifest is the JSON checkpoint descriptor.
+// Manifest is the run state recorded with each checkpointed round.
 type Manifest struct {
 	Version   int       `json:"version"`
 	Round     int       `json:"round"`   // completed merge rounds
 	Workers   int       `json:"workers"` // worker count that produced it
 	Seed      int64     `json:"seed"`    // scenario root seed
 	EpisodePs int64     `json:"episode_ps"`
-	Bundle    string    `json:"bundle"` // bundle filename within the directory
-	SHA256    string    `json:"sha256"` // hex digest of the bundle bytes
 	CumReward float64   `json:"cum_reward"`
 	Rewards   []float64 `json:"rewards"` // per-round mean rewards
 
@@ -57,231 +44,82 @@ type Manifest struct {
 	DegradedRounds []int `json:"degraded_rounds,omitempty"` // 0-based rounds merged below full strength
 }
 
-// Typed checkpoint errors, matchable with errors.Is. LoadCheckpoint wraps
-// them with file-level detail.
-var (
-	// ErrNoCheckpoint reports that the checkpoint directory holds no manifest.
-	ErrNoCheckpoint = errors.New("fleet: no checkpoint manifest")
-	// ErrManifestCorrupt reports unparseable or structurally invalid manifest JSON.
-	ErrManifestCorrupt = errors.New("fleet: manifest corrupt")
-	// ErrVersionSkew reports a manifest written by an incompatible format version.
-	ErrVersionSkew = errors.New("fleet: manifest version skew")
-	// ErrBundleMissing reports a manifest whose bundle file does not exist.
-	ErrBundleMissing = errors.New("fleet: bundle missing")
-	// ErrBundleCorrupt reports a bundle whose bytes fail the manifest checksum.
-	ErrBundleCorrupt = errors.New("fleet: bundle checksum mismatch")
-)
+// ErrLegacyCheckpoint reports a checkpoint directory written in the
+// round-stamped manifest.json layout this package no longer reads
+// (errors.Is).
+var ErrLegacyCheckpoint = errors.New("fleet: checkpoint directory holds the retired manifest.json layout; start over in a new directory")
 
-// atomicWrite writes data next to path and renames it into place, so
-// readers never observe a partially-written file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+// openCheckpoint opens dir as the run's model store.
+func openCheckpoint(dir string) (*modelstore.Store, error) {
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
+		return nil, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, dir)
 	}
-	return os.Rename(tmp, path)
+	return modelstore.Open(dir)
 }
 
-func bundleName(round int) string {
-	return fmt.Sprintf("%s%06d%s", bundlePrefix, round, bundleSuffix)
-}
-
-func historyName(round int) string {
-	return fmt.Sprintf("%s%06d%s", bundlePrefix, round, historySuffix)
-}
-
-// checkpointRound parses the round number out of fleet-NNNNNN.bundle or
-// fleet-NNNNNN.json names; ok is false for anything else (manifest.json
-// and temp files included).
-func checkpointRound(name string) (round int, ok bool) {
-	if !strings.HasPrefix(name, bundlePrefix) {
-		return 0, false
-	}
-	rest := strings.TrimPrefix(name, bundlePrefix)
-	switch {
-	case strings.HasSuffix(rest, bundleSuffix):
-		rest = strings.TrimSuffix(rest, bundleSuffix)
-	case strings.HasSuffix(rest, historySuffix):
-		rest = strings.TrimSuffix(rest, historySuffix)
-	default:
-		return 0, false
-	}
-	r, err := strconv.Atoi(rest)
-	if err != nil || r < 0 {
-		return 0, false
-	}
-	return r, true
-}
-
-// SaveCheckpoint atomically persists a round's merged models, its
-// round-stamped manifest, and the latest-manifest pointer, then trims the
-// on-disk history to the newest keep rounds (keep <= 0 means the default
-// of 3). The Bundle and SHA256 manifest fields are filled in here.
-func SaveCheckpoint(dir string, m Manifest, models []byte, keep int) error {
-	if keep <= 0 {
-		keep = defaultKeepCheckpoints
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if m.Version == 0 {
-		m.Version = manifestVersion
-	}
-	m.Bundle = bundleName(m.Round)
-	sum := sha256.Sum256(models)
-	m.SHA256 = hex.EncodeToString(sum[:])
-
-	if err := atomicWrite(filepath.Join(dir, m.Bundle), models); err != nil {
-		return fmt.Errorf("fleet: writing bundle: %w", err)
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
+// saveCheckpoint commits one round: the merged bundle becomes the store's
+// next version with m in its log entry, candidate moves to it, and bytes
+// beyond the retention depth are collected.
+func saveCheckpoint(st *modelstore.Store, m Manifest, models []byte, logf func(string, ...any)) error {
+	m.Version = manifestVersion
+	meta, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := atomicWrite(filepath.Join(dir, historyName(m.Round)), data); err != nil {
-		return fmt.Errorf("fleet: writing history manifest: %w", err)
+	vi, err := st.PutMeta(models, fmt.Sprintf("fleet round %d", m.Round), "", meta)
+	if err != nil {
+		return err
 	}
-	if err := atomicWrite(filepath.Join(dir, manifestName), data); err != nil {
-		return fmt.Errorf("fleet: writing manifest: %w", err)
+	if err := st.SetChannel(modelstore.ChannelCandidate, vi.Version); err != nil {
+		return err
 	}
-	gcBundles(dir, m.Round, keep)
+	// Uncollected bytes cost disk, never correctness.
+	if _, err := st.GC(keepRounds); err != nil {
+		logf("fleet: checkpoint GC: %v", err)
+	}
 	return nil
 }
 
-// gcBundles removes stray temp files, checkpoint files stamped with rounds
-// newer than the one just written (orphans of torn writes), and everything
-// older than the newest keep retained rounds. Failures are ignored: stale
-// files cost disk, never correctness.
-func gcBundles(dir string, round, keep int) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	seen := make(map[int]bool)
-	var rounds []int
-	for _, e := range entries {
-		if r, ok := checkpointRound(e.Name()); ok && r <= round && !seen[r] {
-			seen[r] = true
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(rounds)))
-	kept := make(map[int]bool, keep)
-	for i, r := range rounds {
-		if i < keep {
-			kept[r] = true
-		}
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
+// loadCheckpoint returns the newest checkpointed round whose bundle the
+// store can verify, walking the version log newest-first and logging each
+// round it has to skip; the bool reports that it skipped any. Versions
+// without Meta are someone else's (an upload, a job's published bundle).
+// A store with no fleet version at all returns nil models and a nil error;
+// when every fleet version fails, the newest one's error is returned
+// (modelstore.ErrBundleCorrupt, modelstore.ErrBundleGone, …).
+func loadCheckpoint(st *modelstore.Store, logf func(string, ...any)) (Manifest, []byte, bool, error) {
+	var newestErr error
+	versions := st.Versions()
+	for i := len(versions) - 1; i >= 0; i-- {
+		vi := versions[i]
+		if len(vi.Meta) == 0 {
 			continue
 		}
-		if r, ok := checkpointRound(name); ok && !kept[r] {
-			os.Remove(filepath.Join(dir, name))
+		m, models, err := readRound(st, vi)
+		if err == nil {
+			if newestErr != nil {
+				logf("fleet: fell back to checkpoint round %d (store version %d)", m.Round, vi.Version)
+			}
+			return m, models, newestErr != nil, nil
+		}
+		logf("fleet: skipping checkpoint version %d: %v", vi.Version, err)
+		if newestErr == nil {
+			newestErr = err
 		}
 	}
+	return Manifest{}, nil, false, newestErr
 }
 
-// parseManifest decodes and structurally validates manifest JSON.
-func parseManifest(data []byte) (Manifest, error) {
+// readRound decodes one fleet version's manifest and fetches its verified
+// bundle.
+func readRound(st *modelstore.Store, vi modelstore.VersionInfo) (Manifest, []byte, error) {
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("%w: %v", ErrManifestCorrupt, err)
+	if err := json.Unmarshal(vi.Meta, &m); err != nil {
+		return m, nil, fmt.Errorf("fleet: checkpoint manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return m, fmt.Errorf("%w: version %d, want %d", ErrVersionSkew, m.Version, manifestVersion)
+		return m, nil, fmt.Errorf("fleet: checkpoint manifest version %d, want %d", m.Version, manifestVersion)
 	}
-	if m.Bundle == "" || m.Bundle != filepath.Base(m.Bundle) {
-		return m, fmt.Errorf("%w: invalid bundle name %q", ErrManifestCorrupt, m.Bundle)
-	}
-	return m, nil
-}
-
-// readBundle loads the manifest's bundle and verifies its checksum.
-func readBundle(dir string, m Manifest) ([]byte, error) {
-	models, err := os.ReadFile(filepath.Join(dir, m.Bundle))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: manifest references %s", ErrBundleMissing, m.Bundle)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(models)
-	if got := hex.EncodeToString(sum[:]); got != m.SHA256 {
-		return nil, fmt.Errorf("%w: bundle %s checksum %s does not match manifest %s (corrupted checkpoint)",
-			ErrBundleCorrupt, m.Bundle, got, m.SHA256)
-	}
-	return models, nil
-}
-
-// LoadCheckpoint reads the newest usable checkpoint: the latest manifest
-// when it verifies, otherwise the newest retained history pair that passes
-// its sha256 check. Returns ErrNoCheckpoint when the directory has no
-// manifest at all; skipped candidates are silent (use
-// LoadCheckpointFallback to observe them).
-func LoadCheckpoint(dir string) (Manifest, []byte, error) {
-	m, models, _, err := LoadCheckpointFallback(dir, nil)
+	_, models, err := st.Get(vi.Version)
 	return m, models, err
-}
-
-// LoadCheckpointFallback is LoadCheckpoint with observability: logf (nil =
-// silent) receives one line per skipped candidate, and fellBack reports
-// whether an older history pair was used instead of the latest manifest.
-// When every candidate fails, the error describing the latest manifest's
-// failure is returned, matchable against the typed checkpoint errors.
-func LoadCheckpointFallback(dir string, logf func(format string, a ...any)) (m Manifest, models []byte, fellBack bool, err error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	data, rerr := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(rerr, os.ErrNotExist) {
-		return Manifest{}, nil, false, ErrNoCheckpoint
-	}
-	if rerr != nil {
-		return Manifest{}, nil, false, rerr
-	}
-	m, err = parseManifest(data)
-	if err == nil {
-		if models, err = readBundle(dir, m); err == nil {
-			return m, models, false, nil
-		}
-	}
-	primaryErr := err
-	logf("fleet: checkpoint %s unusable: %v; trying retained history", manifestName, primaryErr)
-
-	entries, rerr := os.ReadDir(dir)
-	if rerr != nil {
-		return m, nil, false, primaryErr
-	}
-	var rounds []int
-	for _, e := range entries {
-		if r, ok := checkpointRound(e.Name()); ok && strings.HasSuffix(e.Name(), historySuffix) {
-			rounds = append(rounds, r)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(rounds)))
-	for _, r := range rounds {
-		name := historyName(r)
-		data, rerr := os.ReadFile(filepath.Join(dir, name))
-		if rerr != nil {
-			logf("fleet: skipping checkpoint %s: %v", name, rerr)
-			continue
-		}
-		hm, herr := parseManifest(data)
-		if herr != nil {
-			logf("fleet: skipping checkpoint %s: %v", name, herr)
-			continue
-		}
-		hmodels, herr := readBundle(dir, hm)
-		if herr != nil {
-			logf("fleet: skipping checkpoint %s: %v", name, herr)
-			continue
-		}
-		logf("fleet: fell back to checkpoint round %d (%s)", hm.Round, name)
-		return hm, hmodels, true, nil
-	}
-	return m, nil, false, primaryErr
 }

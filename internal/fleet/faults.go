@@ -1,15 +1,11 @@
 package fleet
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Deterministic fault injection for chaos-testing the fleet. A FaultPlan
-// pins failures to exact coordinates — episode (round, worker, attempt)
-// triples and checkpoint round numbers — so every failure path (panic
-// isolation, retry, deadline, quorum merge, checkpoint fallback) can be
-// exercised by a seedable test, including under the race detector. The
+// pins failures to exact episode (round, worker, attempt) coordinates, so
+// every failure path (panic isolation, retry, deadline, quorum merge) can
+// be exercised by a seedable test, including under the race detector. The
 // plan is consulted read-only from worker goroutines; it must not be
 // mutated while a run is in flight.
 
@@ -58,12 +54,6 @@ type Fault struct {
 type FaultPlan struct {
 	// Episodes lists episode-level faults by (round, worker, attempt).
 	Episodes []Fault
-
-	// CorruptBundles lists checkpoint rounds (1-based, as recorded in
-	// Manifest.Round) whose bundle file is corrupted on disk immediately
-	// after the checkpoint write completes — simulating silent disk
-	// corruption so resume exercises the checkpoint-history fallback.
-	CorruptBundles []int
 }
 
 // episodeFault returns the fault scheduled at (round, worker, attempt),
@@ -78,32 +68,4 @@ func (p *FaultPlan) episodeFault(round, worker, attempt int) FaultKind {
 		}
 	}
 	return 0
-}
-
-// corruptsBundle reports whether the plan corrupts the bundle saved for
-// the given manifest round.
-func (p *FaultPlan) corruptsBundle(round int) bool {
-	if p == nil {
-		return false
-	}
-	for _, r := range p.CorruptBundles {
-		if r == round {
-			return true
-		}
-	}
-	return false
-}
-
-// corruptBundleFile flips the first byte of the file in place, guaranteeing
-// a checksum mismatch without changing its size.
-func corruptBundleFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("fleet: cannot corrupt empty bundle %s", path)
-	}
-	data[0] ^= 0xff
-	return os.WriteFile(path, data, 0o644)
 }

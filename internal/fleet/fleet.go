@@ -30,20 +30,19 @@
 // the last completed round before returning. Every failure path is
 // deterministically exercisable through Config.Faults (see FaultPlan).
 //
-// Long runs survive interruption through atomic checkpoints: after a merge
-// the bundle is written to a round-stamped file (write-to-temp + rename)
-// and then a JSON manifest — round number, seeds, cumulative reward, bundle
-// checksum — is atomically swapped in. The last KeepCheckpoints rounds are
-// retained, and resume falls back through them newest-first when the
-// latest bundle fails its checksum, so a single corrupted file never
-// bricks a run.
+// Long runs survive interruption through checkpoints: Config.Checkpoint is a
+// model store (internal/modelstore), and after a merge the bundle is Put as
+// its next version with the run manifest — round number, seeds, cumulative
+// reward — in the same version-log line. Resume walks that log newest-first
+// and takes the first round whose bytes still match their sha256, so a
+// single corrupted file never bricks a run; the same directory is what
+// `petd -store` promotes and serves from.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -72,15 +71,9 @@ type Config struct {
 	Rounds  int      // synchronized merge rounds (0 = 1)
 	Episode sim.Time // simulated training time per episode (required)
 
-	Checkpoint      string // checkpoint directory; "" disables checkpointing
+	Checkpoint      string // checkpoint directory, a model store; "" disables checkpointing
 	CheckpointEvery int    // write a checkpoint every k rounds (0 = 1)
-	Resume          bool   // continue from Checkpoint's manifest when present
-
-	// KeepCheckpoints is how many round-stamped bundles are retained on
-	// disk (0 = 3). Resume falls back through them newest-first when the
-	// latest bundle is corrupt, so depth >= 2 survives single-file
-	// corruption.
-	KeepCheckpoints int
+	Resume          bool   // continue from Checkpoint's newest verifiable round when present
 
 	// AllowWorkerChange permits resuming a checkpoint written with a
 	// different Workers count. Episode seeds derive from (round, worker),
@@ -113,19 +106,8 @@ type Config struct {
 
 	// Faults, when non-nil, injects deterministic failures for chaos
 	// testing: episode fail/panic/hang at exact (round, worker, attempt)
-	// coordinates and on-disk bundle corruption after checkpoint writes.
+	// coordinates.
 	Faults *FaultPlan
-
-	// Store, when non-nil, receives every written checkpoint bundle as a
-	// new version in the model store, under the StoreChannel channel
-	// (default "candidate") — the bridge from offline pre-training to the
-	// daemon's promote/serve loop. Publishing rides the checkpoint cadence:
-	// no Checkpoint directory, no publishing.
-	Store *modelstore.Store
-
-	// StoreChannel names the channel each published version is pointed at
-	// (default modelstore.ChannelCandidate).
-	StoreChannel string
 
 	// Logf, when non-nil, receives human-readable warnings: retries,
 	// stragglers, degraded rounds, checkpoint fallbacks (nil = silent).
@@ -174,17 +156,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
-	if c.KeepCheckpoints < 0 {
-		return c, fmt.Errorf("fleet: negative checkpoint retention %d", c.KeepCheckpoints)
-	}
 	if c.Resume && c.Checkpoint == "" {
 		return c, fmt.Errorf("fleet: Resume requires a Checkpoint directory")
-	}
-	if c.Store != nil && c.Checkpoint == "" {
-		return c, fmt.Errorf("fleet: Store publishing rides the checkpoint cadence; set a Checkpoint directory")
-	}
-	if c.StoreChannel != "" && c.Store == nil {
-		return c, fmt.Errorf("fleet: StoreChannel set without a Store")
 	}
 	if c.MaxRetries < 0 {
 		return c, fmt.Errorf("fleet: negative retry count %d", c.MaxRetries)
@@ -406,15 +379,22 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	var res Result
 	var rewards []float64 // per-round mean rewards, for the manifest
 
+	var store *modelstore.Store
+	if cfg.Checkpoint != "" {
+		if store, err = openCheckpoint(cfg.Checkpoint); err != nil {
+			return Result{}, err
+		}
+	}
+
 	// Resume, or initialize the global model as the common broadcast base.
 	var global []byte
 	if cfg.Resume {
-		m, models, fellBack, err := LoadCheckpointFallback(cfg.Checkpoint, logf)
+		m, models, fellBack, err := loadCheckpoint(store, logf)
 		switch {
-		case errors.Is(err, ErrNoCheckpoint):
-			// Nothing to resume; fall through to a fresh start.
 		case err != nil:
 			return Result{}, err
+		case models == nil:
+			// Nothing to resume; fall through to a fresh start.
 		default:
 			if m.Seed != s.Seed {
 				return Result{}, fmt.Errorf("fleet: checkpoint seed %d does not match scenario seed %d", m.Seed, s.Seed)
@@ -480,7 +460,6 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 	lastCkpt := res.ResumedFrom
 	saveRound := func(round int) error {
 		m := Manifest{
-			Version:        manifestVersion,
 			Round:          round,
 			Workers:        cfg.Workers,
 			Seed:           s.Seed,
@@ -492,39 +471,19 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 			DegradedRounds: res.DegradedRounds,
 		}
 		start := time.Now()
-		if err := SaveCheckpoint(cfg.Checkpoint, m, global, cfg.KeepCheckpoints); err != nil {
+		if err := saveCheckpoint(store, m, global, logf); err != nil {
 			return err
 		}
 		tm.ckptSec.Observe(time.Since(start).Seconds())
 		tm.ckptBytes.Set(float64(len(global)))
 		lastCkpt = round
-		if cfg.Store != nil {
-			vi, err := cfg.Store.Put(global, fmt.Sprintf("fleet round %d", round), "")
-			if err != nil {
-				return fmt.Errorf("fleet: publishing round %d to the model store: %w", round, err)
-			}
-			channel := cfg.StoreChannel
-			if channel == "" {
-				channel = modelstore.ChannelCandidate
-			}
-			if err := cfg.Store.SetChannel(channel, vi.Version); err != nil {
-				return fmt.Errorf("fleet: publishing round %d to the model store: %w", round, err)
-			}
-			logf("fleet: round %d published as store version %d (%s)", round, vi.Version, channel)
-		}
-		if cfg.Faults.corruptsBundle(round) {
-			if err := corruptBundleFile(filepath.Join(cfg.Checkpoint, bundleName(round))); err != nil {
-				return fmt.Errorf("fleet: injecting bundle corruption: %w", err)
-			}
-			logf("fleet: injected corruption into the round-%d checkpoint bundle", round)
-		}
 		return nil
 	}
 	// finalize persists the last completed round on abnormal exits
 	// (cancellation, quorum failure, merge error) so no finished work is
 	// lost; best-effort by design — the run is already returning an error.
 	finalize := func() {
-		if cfg.Checkpoint == "" || res.Rounds <= lastCkpt {
+		if store == nil || res.Rounds <= lastCkpt {
 			return
 		}
 		if err := saveRound(res.Rounds); err != nil {
@@ -614,7 +573,7 @@ func PretrainContext(ctx context.Context, s bench.Scenario, cfg Config) (Result,
 		tm.cumReward.Set(res.CumReward)
 		tm.roundReward.Observe(mean)
 
-		if cfg.Checkpoint != "" && ((r+1)%cfg.CheckpointEvery == 0 || r == cfg.Rounds-1) {
+		if store != nil && ((r+1)%cfg.CheckpointEvery == 0 || r == cfg.Rounds-1) {
 			if err := saveRound(r + 1); err != nil {
 				return res, fmt.Errorf("fleet: round %d checkpoint: %w", r, err)
 			}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,7 +124,7 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 	if !bytes.Equal(res.Models, straight.Models) {
 		t.Fatal("resumed run diverged from the uninterrupted run")
 	}
-	m, models, err := LoadCheckpoint(dir)
+	m, models, _, err := loadDir(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +143,9 @@ func TestResumeIgnoresTornCheckpointWrite(t *testing.T) {
 	if _, err := Pretrain(s, Config{Workers: 1, Rounds: 1, Episode: episode, Checkpoint: dir}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a kill mid-checkpoint: a half-written temp file and an
-	// orphan bundle the manifest never came to reference.
-	for _, stray := range []string{"fleet-000002.bundle.tmp", "fleet-000099.bundle", "manifest.json.tmp"} {
+	// Simulate a kill mid-checkpoint: half-written temp files and an
+	// orphan object the version log never came to reference.
+	for _, stray := range []string{"objects/0badc0de.bundle.tmp", "objects/0badc0de.bundle", "channels/candidate.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, stray), []byte("torn write"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -163,13 +164,6 @@ func TestResumeIgnoresTornCheckpointWrite(t *testing.T) {
 	if !bytes.Equal(res.Models, straight.Models) {
 		t.Fatal("torn-checkpoint resume diverged from the uninterrupted run")
 	}
-	// The next successful checkpoint garbage-collects the debris.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") || e.Name() == "fleet-000099.bundle" {
-			t.Fatalf("stray checkpoint file survived: %s", e.Name())
-		}
-	}
 }
 
 func TestResumeRejectsCorruptedBundle(t *testing.T) {
@@ -179,13 +173,9 @@ func TestResumeRejectsCorruptedBundle(t *testing.T) {
 	if _, err := Pretrain(s, cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := LoadCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the referenced bundle: resume must fail loudly, not train
-	// from garbage.
-	path := filepath.Join(dir, m.Bundle)
+	// Truncate the round's bundle: resume must fail loudly, not train from
+	// garbage.
+	path := roundObject(t, dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +187,13 @@ func TestResumeRejectsCorruptedBundle(t *testing.T) {
 	if _, err := Pretrain(s, cfg); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted bundle resumed: err = %v", err)
 	}
-	// A corrupted manifest must also fail loudly.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
+	// A version log damaged before its last line must also fail loudly
+	// (only a torn tail is a crash artefact).
+	if err := os.WriteFile(filepath.Join(dir, "versions.log"), []byte("{not json\n{\"version\": 2}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Pretrain(s, cfg); err == nil {
-		t.Fatal("corrupted manifest resumed")
+	if _, err := Pretrain(s, cfg); !errors.Is(err, modelstore.ErrLogCorrupt) {
+		t.Fatalf("corrupted version log resumed: err = %v", err)
 	}
 }
 
@@ -271,47 +262,44 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFleetPublishesToStore: with a Store configured, every checkpointed
-// round lands in the model store as a new version with the channel tracking
-// the newest one, and the final version's bytes match the run's result.
-func TestFleetPublishesToStore(t *testing.T) {
-	store, err := modelstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCheckpointIsModelStore: a checkpoint directory is a model store. It
+// opens as one, every checkpointed round is a version, the candidate channel
+// tracks the newest, and retention keeps at most three rounds' bytes.
+func TestCheckpointIsModelStore(t *testing.T) {
+	dir := t.TempDir()
 	res, err := Pretrain(testScenario(5), Config{
-		Workers:    1,
-		Rounds:     2,
-		Episode:    2 * sim.Millisecond,
-		Checkpoint: t.TempDir(),
-		Store:      store,
-		Logf:       t.Logf,
+		Workers: 1, Rounds: 5, Episode: trainEpisode, Checkpoint: dir, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store, err := modelstore.Open(dir)
+	if err != nil {
+		t.Fatalf("checkpoint directory does not open as a model store: %v", err)
+	}
 	versions := store.Versions()
-	if len(versions) != 2 {
-		t.Fatalf("%d published versions for 2 rounds", len(versions))
+	if len(versions) != 5 {
+		t.Fatalf("%d versions for 5 checkpointed rounds", len(versions))
 	}
-	vi, err := store.Channel(modelstore.ChannelCandidate)
-	if err != nil || vi.Version != versions[len(versions)-1].Version {
-		t.Fatalf("candidate channel %+v, %v; want the newest version", vi, err)
+	vi, bundle, err := store.Resolve(modelstore.ChannelCandidate)
+	if err != nil || vi.Version != 5 {
+		t.Fatalf("candidate channel = %+v, %v; want the newest version", vi, err)
 	}
-	_, bundle, err := store.Get(vi.Version)
-	if err != nil || !bytes.Equal(bundle, res.Models) {
-		t.Fatalf("stored final bundle differs from the run result (err %v)", err)
+	if !bytes.Equal(bundle, res.Models) {
+		t.Fatal("candidate bundle differs from the run result")
 	}
 	if !strings.Contains(versions[0].Source, "fleet round") {
-		t.Fatalf("published source %q", versions[0].Source)
+		t.Fatalf("version source %q", versions[0].Source)
 	}
-
-	// Store without a checkpoint directory is a config error, not a silent
-	// no-op.
-	if _, err := Pretrain(testScenario(5), Config{Episode: sim.Millisecond, Store: store}); err == nil {
-		t.Fatal("Store without Checkpoint accepted")
+	held := 0
+	for _, v := range versions {
+		if _, _, err := store.Get(v.Version); err == nil {
+			held++
+		} else if !errors.Is(err, modelstore.ErrBundleGone) {
+			t.Fatalf("version %d: %v", v.Version, err)
+		}
 	}
-	if _, err := Pretrain(testScenario(5), Config{Episode: sim.Millisecond, StoreChannel: "x"}); err == nil {
-		t.Fatal("StoreChannel without Store accepted")
+	if held != keepRounds {
+		t.Fatalf("%d rounds still hold bytes, want %d", held, keepRounds)
 	}
 }

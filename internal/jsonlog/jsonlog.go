@@ -9,22 +9,17 @@
 package jsonlog
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // ErrCorrupt reports an unparseable line before the end of a log — damage
 // that cannot be explained by a single torn append. Matchable with
 // errors.Is through whatever error a caller wraps around it.
 var ErrCorrupt = errors.New("jsonlog: log corrupt")
-
-// maxLineBytes bounds one log line (and the scanner buffer) at 1 MiB;
-// every record in this repo is a few hundred bytes.
-const maxLineBytes = 1 << 20
 
 // Append marshals v and appends it to path as one line. The line lands in
 // a single Write call, which keeps the append all-or-nothing on local
@@ -51,36 +46,39 @@ func Append(path string, v any) error {
 
 // Replay decodes every non-blank line of path into a T and hands it to fn
 // in file order, with line numbered from 1. A missing file replays
-// nothing. The final line failing to decode is dropped silently — the
-// crash-mid-append tear — while an undecodable earlier line (or a scanner
-// failure, e.g. a line past the 1 MiB bound) returns an error wrapping
-// ErrCorrupt. An error from fn stops the replay and is returned as-is, so
-// callers keep their own typed errors.
+// nothing. The final line failing to decode is the crash-mid-append tear:
+// it is dropped, and cut off the file so the next Append starts on a fresh
+// line instead of gluing itself to the fragment. An undecodable earlier
+// line returns an error wrapping ErrCorrupt. An error from fn stops the
+// replay and is returned as-is, so callers keep their own typed errors.
 func Replay[T any](path string, fn func(line int, v T) error) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("jsonlog: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
-	var lines []string
-	for sc.Scan() {
-		if text := strings.TrimSpace(sc.Text()); text != "" {
-			lines = append(lines, text)
+	type line struct {
+		text []byte
+		off  int64 // where the line starts in the file
+	}
+	var lines []line
+	var off int64
+	for _, raw := range bytes.SplitAfter(data, []byte("\n")) {
+		if text := bytes.TrimSpace(raw); len(text) > 0 {
+			lines = append(lines, line{text, off})
 		}
+		off += int64(len(raw))
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for i, text := range lines {
+	for i, l := range lines {
 		var v T
-		if err := json.Unmarshal([]byte(text), &v); err != nil {
+		if err := json.Unmarshal(l.text, &v); err != nil {
 			if i == len(lines)-1 {
-				return nil // torn tail: the crash-mid-append case
+				if err := os.Truncate(path, l.off); err != nil {
+					return fmt.Errorf("jsonlog: cutting torn tail: %w", err)
+				}
+				return nil
 			}
 			return fmt.Errorf("%w: line %d: %v", ErrCorrupt, i+1, err)
 		}

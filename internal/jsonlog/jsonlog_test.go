@@ -75,6 +75,19 @@ func TestJournalLogTornTail(t *testing.T) {
 	if len(got) != 2 || got[0].N != 1 || got[1].N != 2 {
 		t.Fatalf("replayed %+v, want records 1 and 2", got)
 	}
+
+	// The fragment is cut off the file, so appends after the recovery land
+	// on lines of their own — not glued to it, where the first would be
+	// lost and the second would turn the fragment into mid-log damage.
+	for i := 3; i <= 4; i++ {
+		if err := Append(path, rec{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err = replayAll(t, path)
+	if err != nil || len(got) != 4 || got[2].N != 3 || got[3].N != 4 {
+		t.Fatalf("after appending past the tear: %+v, err %v; want records 1 to 4", got, err)
+	}
 }
 
 // TestJournalLogMidCorruption: damage before the final line is ErrCorrupt,

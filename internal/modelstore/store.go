@@ -1,8 +1,8 @@
 // Package modelstore is the versioned, content-addressed store for model
-// bundles — the persistence layer under the paper's online serving loop
-// (train → eval → promote → serve). It reuses the repo's sha256 manifest
-// discipline (every read verifies the digest recorded at write time) and
-// adds three ideas on top of the fleet's flat checkpoint directory:
+// bundles — the one persistence layer under the paper's hybrid training loop
+// (train → eval → promote → serve): the fleet checkpoints every round into
+// a store, and petd promotes and serves out of the same directory. Every
+// read verifies the sha256 recorded at write time. Three ideas:
 //
 //   - Content addressing. Bundle bytes live under objects/ named by their
 //     sha256, so identical bundles share storage and a bundle can never be
@@ -25,13 +25,14 @@
 // distinguish "never existed" from "collected" from "corrupted on disk".
 //
 // A Store is safe for concurrent use by multiple goroutines in one
-// process. Like the fleet checkpoint directory, it assumes a single
-// writing process.
+// process. It assumes one open Store per directory at a time: a fleet
+// checkpointing into a directory and a petd serving from it take turns.
 package modelstore
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -72,6 +73,11 @@ type VersionInfo struct {
 	Source    string    `json:"source,omitempty"` // provenance: "api", "job exp-000001", "fleet round 4", ...
 	Note      string    `json:"note,omitempty"`   // free-form operator annotation
 	CreatedAt time.Time `json:"created_at"`
+
+	// Meta is the producer's machine-readable record of the version, opaque
+	// to the store (PutMeta). The fleet keeps its run manifest here, so the
+	// log line that commits a checkpointed round also describes it.
+	Meta json.RawMessage `json:"meta,omitempty"`
 }
 
 // Typed store errors, matchable with errors.Is.
@@ -204,6 +210,11 @@ func atomicWrite(path string, data []byte) error {
 // under objects/ (shared if an identical bundle already exists), then one
 // line is appended to the version log. source and note document provenance.
 func (s *Store) Put(bundle []byte, source, note string) (VersionInfo, error) {
+	return s.PutMeta(bundle, source, note, nil)
+}
+
+// PutMeta is Put with a JSON document recorded in the version's log entry.
+func (s *Store) PutMeta(bundle []byte, source, note string, meta json.RawMessage) (VersionInfo, error) {
 	if len(bundle) == 0 {
 		return VersionInfo{}, ErrEmptyBundle
 	}
@@ -215,14 +226,11 @@ func (s *Store) Put(bundle []byte, source, note string) (VersionInfo, error) {
 
 	// Object first, log second: a crash between the two leaves an orphan
 	// object (harmless, re-adopted by the next identical Put), never a log
-	// entry whose bytes are missing.
-	objPath := s.objectPath(sha)
-	if _, err := os.Stat(objPath); errors.Is(err, os.ErrNotExist) {
-		if err := atomicWrite(objPath, bundle); err != nil {
-			return VersionInfo{}, fmt.Errorf("modelstore: writing object: %w", err)
-		}
-	} else if err != nil {
-		return VersionInfo{}, fmt.Errorf("modelstore: %w", err)
+	// entry whose bytes are missing. The object is written even when one of
+	// that name exists: a deterministic rerun reproduces a lost round's exact
+	// bytes, and this Put is what replaces a copy that rotted on disk.
+	if err := atomicWrite(s.objectPath(sha), bundle); err != nil {
+		return VersionInfo{}, fmt.Errorf("modelstore: writing object: %w", err)
 	}
 
 	info := VersionInfo{
@@ -232,6 +240,7 @@ func (s *Store) Put(bundle []byte, source, note string) (VersionInfo, error) {
 		Source:    source,
 		Note:      note,
 		CreatedAt: time.Now().UTC(),
+		Meta:      meta,
 	}
 	if err := jsonlog.Append(s.logPath(), info); err != nil {
 		return VersionInfo{}, fmt.Errorf("modelstore: appending version log: %w", err)

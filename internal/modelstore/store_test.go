@@ -1,6 +1,7 @@
 package modelstore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -184,6 +185,51 @@ func TestStoreCorruptObject(t *testing.T) {
 	}
 }
 
+// TestStorePutReplacesRottedObject: a Put of bytes whose object already
+// exists rewrites it, so re-putting a bundle repairs a copy that rotted on
+// disk instead of logging a new version over the bad bytes.
+func TestStorePutReplacesRottedObject(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustPut(t, s, bundleN(1), "api")
+	if err := os.WriteFile(s.objectPath(first.SHA256), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := mustPut(t, s, bundleN(1), "api")
+	for _, v := range []int{first.Version, second.Version} {
+		if _, bundle, err := s.Get(v); err != nil || string(bundle) != string(bundleN(1)) {
+			t.Fatalf("Get(%d) after re-put = %q, %v", v, bundle, err)
+		}
+	}
+}
+
+// TestStorePutMeta: the producer's JSON document rides in the version's log
+// entry and survives a reopen; plain Put records none.
+func TestStorePutMeta(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, bundleN(1), "api")
+	if _, err := s.PutMeta(bundleN(2), "fleet round 1", "", json.RawMessage(`{"round":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutMeta(bundleN(3), "x", "", json.RawMessage(`{not json`)); err == nil {
+		t.Fatal("malformed meta accepted into the log")
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	versions := r.Versions()
+	if len(versions) != 2 || versions[0].Meta != nil || string(versions[1].Meta) != `{"round":1}` {
+		t.Fatalf("reopened versions = %+v", versions)
+	}
+}
+
 func TestStoreChannelValidation(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -220,7 +266,7 @@ func TestStoreChannelValidation(t *testing.T) {
 // TestStoreGCRetention: GC keeps the newest K versions plus every
 // channel-pinned version — the serving and last-promoted bundles are never
 // deleted — and collected versions answer ErrBundleGone while staying in
-// the log. Run under -count=2 by `make test-store`, the retention set must
+// the log. Run under -count=2 by `make race`, the retention set must
 // come out identical every time.
 func TestStoreGCRetention(t *testing.T) {
 	s, err := Open(t.TempDir())

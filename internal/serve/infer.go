@@ -92,7 +92,7 @@ type InferInfo struct {
 
 // InferOptions parameterizes NewInferService.
 type InferOptions struct {
-	// Topo names the fabric the bundle was trained on (tiny|small|paper,
+	// Topo names the fabric the bundle was trained on (a topo preset name,
 	// default tiny); it determines the switch set and observation width.
 	Topo string
 	// Scheme is the registered control scheme to serve (default PET). It
@@ -182,7 +182,7 @@ type InferService struct {
 }
 
 // NewInferService builds the replica pool from a model bundle (as written
-// by pettrain, a fleet checkpoint, or the model store, and restored per
+// by pettrain or held in the model store, and restored per
 // replica through Controller.LoadModels' validate-then-apply path — a
 // corrupt bundle fails construction, never a request).
 func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {

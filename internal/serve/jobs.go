@@ -299,8 +299,8 @@ func (m *Manager) adoptRecord(rj ReplayedJob, state JobState, errMsg string) {
 }
 
 // relaunch restarts an interrupted pretrain job under its original ID, with
-// Resume set so the fleet picks up from its latest readable checkpoint
-// (LoadCheckpointFallback): at most one round of work is lost to the death.
+// Resume set so the fleet picks up from the newest round its checkpoint
+// store can verify: at most one round of work is lost to the death.
 func (m *Manager) relaunch(rj ReplayedJob) {
 	spec := rj.Spec
 	spec.Resume = true

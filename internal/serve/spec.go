@@ -12,9 +12,9 @@
 //     loaded at startup, over a pool of controller replicas so the policy
 //     hot path stays single-threaded per replica and allocation-free.
 //
-// The package is the scaffold the versioned model-store / hot-swap roadmap
-// item plugs into: bundles already arrive sha256-verified through the
-// fleet's checkpoint manifest machinery.
+// With a model store configured, the /models API ingests, gates, promotes
+// and hot-swaps versioned bundles on top of it; every bundle, whether a
+// fleet checkpoint or an upload, is sha256-verified by the store on read.
 package serve
 
 import (
@@ -44,7 +44,7 @@ type ExperimentSpec struct {
 
 	Scheme    string `json:"scheme,omitempty"`    // registered scheme name (default PET)
 	Transport string `json:"transport,omitempty"` // registered transport name (default dcqcn)
-	Topo      string `json:"topo,omitempty"`      // tiny|small|paper (default tiny)
+	Topo      string `json:"topo,omitempty"`      // topo preset name: tiny|small|medium|paper (default tiny)
 	Workload  string `json:"workload,omitempty"`  // websearch|datamining (default websearch)
 
 	Load           float64 `json:"load,omitempty"`            // offered load fraction (default 0.6)

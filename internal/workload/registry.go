@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"pet/internal/registry"
 )
 
 // This file is the named-workload registry: flow-size distributions register
@@ -24,32 +24,17 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("workload: unknown workload %q (registered: %v)", e.Name, e.Known)
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func() *CDF{}
-)
+var workloads registry.Map[string, func() *CDF]
 
 // Register makes a flow-size distribution selectable by name. It is intended
 // for use from init functions; registering a nil constructor, an empty name,
 // or the same name twice panics.
-func Register(name string, build func() *CDF) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || build == nil {
-		panic("workload: Register with empty name or nil constructor")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("workload: Register called twice for %q", name))
-	}
-	registry[name] = build
-}
+func Register(name string, build func() *CDF) { workloads.Register(name, build) }
 
 // ByName returns a fresh copy of the distribution registered under name.
 // Unknown names yield an *UnknownWorkloadError.
 func ByName(name string) (*CDF, error) {
-	registryMu.RLock()
-	build, ok := registry[name]
-	registryMu.RUnlock()
+	build, ok := workloads.Lookup(name)
 	if !ok {
 		return nil, &UnknownWorkloadError{Name: name, Known: Names()}
 	}
@@ -57,16 +42,7 @@ func ByName(name string) (*CDF, error) {
 }
 
 // Names lists every registered workload, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return workloads.Names() }
 
 func init() {
 	Register("websearch", WebSearch)

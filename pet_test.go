@@ -2,6 +2,7 @@ package pet_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"pet"
@@ -71,6 +72,14 @@ func TestPublicAPIPretrainPipeline(t *testing.T) {
 	}
 }
 
+// registerFacadeFixed registers once per process: the registry outlives a
+// test, and -count=2 runs this file twice in one.
+var registerFacadeFixed = sync.OnceFunc(func() {
+	pet.RegisterScheme("facade-fixed", func(e *pet.Env) (pet.ControlScheme, error) {
+		return facadeFixed{e}, nil
+	})
+})
+
 // TestPublicAPIRegistry covers the facade's view of the pluggable control
 // plane: listing, typed errors, and registering a scheme from the outside.
 func TestPublicAPIRegistry(t *testing.T) {
@@ -88,9 +97,7 @@ func TestPublicAPIRegistry(t *testing.T) {
 		t.Fatalf("err = %v, want *UnknownSchemeError", err)
 	}
 
-	pet.RegisterScheme("facade-fixed", func(e *pet.Env) (pet.ControlScheme, error) {
-		return facadeFixed{e}, nil
-	})
+	registerFacadeFixed()
 	res, err := pet.Run(pet.Scenario{
 		Scheme:   "facade-fixed",
 		Load:     0.4,
