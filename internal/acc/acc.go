@@ -8,11 +8,7 @@
 package acc
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
-	"sort"
 
 	"pet/internal/core"
 	"pet/internal/mat"
@@ -137,189 +133,71 @@ func (c Config) ActionToECN(idx int) netsim.ECNConfig {
 	return netsim.ECNConfig{Enabled: true, KminBytes: kmin, KmaxBytes: kmax, Pmax: pmax}
 }
 
-// ncmConfig adapts this config for the shared Network Condition Monitor.
-func (c Config) ncmConfig() core.Config {
+// loopConfig adapts this config for the shared switch-agent loop: its
+// cadence, class, history depth, reward weights and OnApply. ACC's
+// ω1·throughput + ω2·delay reward is PET's Eq. (6) with Omega1/Omega2 as
+// the weights, so comparisons isolate the state/algorithm differences.
+func (c Config) loopConfig() core.Config {
 	return core.Config{
-		HistoryK:     c.HistoryK,
-		Class:        c.Class,
-		FlowTableMax: c.FlowTableMax,
-		Interval:     c.Interval,
+		HistoryK:        c.HistoryK,
+		Interval:        c.Interval,
+		QueueSampleDiv:  c.QueueSampleDiv,
+		CleanupInterval: c.CleanupInterval,
+		FlowTableMax:    c.FlowTableMax,
+		Class:           c.Class,
+		Beta1:           c.Omega1,
+		Beta2:           c.Omega2,
+		QrefBytes:       c.QrefBytes,
+		OnApply:         c.OnApply,
+		Seed:            c.Seed,
 	}
 }
 
 // SwitchAgent is one ACC agent on one switch.
 type SwitchAgent struct {
-	Switch topo.NodeID
-	cfg    Config
-	ports  []*netsim.Port
-	ncm    *core.NCM
-	agent  *ddqn.Agent
+	*core.SwitchState
+	agent *ddqn.Agent
 
-	history   [][]float64
-	current   netsim.ECNConfig
 	hasPrev   bool
 	prevState []float64
 	prevAct   int
-
-	steps      int
-	rewardSum  float64
-	lastReward float64
-}
-
-func newSwitchAgent(sw topo.NodeID, ports []*netsim.Port, cfg Config, seed int64, replay *ddqn.Replay) *SwitchAgent {
-	dcfg := cfg.DDQN
-	dcfg.ObsDim = cfg.ObsDim()
-	dcfg.Actions = cfg.Actions()
-	a := &SwitchAgent{
-		Switch: sw,
-		cfg:    cfg,
-		ports:  ports,
-		ncm:    core.NewNCM(ports, cfg.ncmConfig()),
-		agent:  ddqn.New(dcfg, seed, replay),
-	}
-	// Neutral starting configuration, mid-range like PET's default.
-	a.apply(cfg.Actions() / 2)
-	return a
-}
-
-// NCM exposes the agent's monitor.
-func (a *SwitchAgent) NCM() *core.NCM { return a.ncm }
-
-// CurrentECN returns the installed configuration.
-func (a *SwitchAgent) CurrentECN() netsim.ECNConfig { return a.current }
-
-// Steps returns completed tuning intervals.
-func (a *SwitchAgent) Steps() int { return a.steps }
-
-// MeanReward returns the average reward so far.
-func (a *SwitchAgent) MeanReward() float64 {
-	if a.steps == 0 {
-		return 0
-	}
-	return a.rewardSum / float64(a.steps)
-}
-
-func (a *SwitchAgent) apply(idx int) {
-	a.current = a.cfg.ActionToECN(idx)
-	for _, p := range a.ports {
-		p.SetECN(a.cfg.Class, a.current)
-	}
-	if a.cfg.OnApply != nil {
-		a.cfg.OnApply(a.Switch, a.current)
-	}
-}
-
-func (a *SwitchAgent) slotFeatures(f core.SlotFeatures) []float64 {
-	bw := a.ncm.TotalBandwidth()
-	tx := float64(f.TxBytes) * 8 / (a.cfg.Interval.Seconds() * bw)
-	txm := float64(f.TxMarkedBytes) * 8 / (a.cfg.Interval.Seconds() * bw)
-	norm := a.cfg.Alpha * math.Pow(2, float64(a.cfg.NMax)) * 1024
-	return []float64{
-		f.QAvgBytes / a.cfg.QlenNorm,
-		tx,
-		txm,
-		float64(a.current.KminBytes) / norm,
-		float64(a.current.KmaxBytes) / norm,
-		a.current.Pmax,
-	}
-}
-
-// Reward is ACC's ω1·throughput + ω2·delay form, identical in shape to
-// PET's Eq. (6) so comparisons isolate the state/algorithm differences.
-func (a *SwitchAgent) Reward(f core.SlotFeatures) float64 {
-	T := float64(f.TxBytes) * 8 / (a.cfg.Interval.Seconds() * a.ncm.TotalBandwidth())
-	if T > 1 {
-		T = 1
-	}
-	La := 1 / (1 + f.QAvgBytes/a.cfg.QrefBytes)
-	return a.cfg.Omega1*T + a.cfg.Omega2*La
-}
-
-func (a *SwitchAgent) state() []float64 {
-	out := make([]float64, 0, a.cfg.ObsDim())
-	for _, h := range a.history {
-		out = append(out, h...)
-	}
-	return out
-}
-
-// Tick closes one tuning interval: reward the previous action, store the
-// transition in (possibly global) replay, learn, and act ε-greedily.
-func (a *SwitchAgent) Tick() {
-	f := a.ncm.RollSlot()
-	feat := a.slotFeatures(f)
-	if len(a.history) == a.cfg.HistoryK {
-		copy(a.history, a.history[1:])
-		a.history[a.cfg.HistoryK-1] = feat
-	} else {
-		a.history = append(a.history, feat)
-	}
-	if len(a.history) < a.cfg.HistoryK {
-		return
-	}
-
-	state := a.state()
-	reward := a.Reward(f)
-	a.steps++
-	a.rewardSum += reward
-	a.lastReward = reward
-
-	if a.cfg.Train && a.hasPrev {
-		a.agent.Observe(ddqn.Transition{S: a.prevState, A: a.prevAct, R: reward, S2: mat.Clone(state)})
-	}
-
-	eps := 0.0
-	if a.cfg.Train {
-		eps = a.cfg.Epsilon.At(a.steps)
-	}
-	act := a.agent.Act(state, eps)
-	a.apply(act)
-	a.hasPrev = true
-	a.prevState = mat.Clone(state)
-	a.prevAct = act
 }
 
 // Controller is the ACC multi-agent system: per-switch DDQN agents over a
 // shared global replay (per the published design).
 type Controller struct {
+	*core.Loop
 	cfg    Config
-	net    *netsim.Network
 	agents []*SwitchAgent
 	global *ddqn.Replay
-
-	started bool
-	tickers []*sim.Ticker
 }
 
 // NewController builds one DDQN agent per switch.
 func NewController(net *netsim.Network, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, net: net}
-
+	c := &Controller{cfg: cfg}
 	root := rng.New(cfg.Seed)
 	if cfg.GlobalReplay {
 		c.global = ddqn.NewReplay(cfg.ReplayCap, root.Split("replay").Seed())
 	}
-
-	byOwner := make(map[topo.NodeID][]*netsim.Port)
-	for _, p := range net.SwitchPorts() {
-		byOwner[p.Owner()] = append(byOwner[p.Owner()], p)
-	}
-	switches := make([]topo.NodeID, 0, len(byOwner))
-	for sw := range byOwner {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	for _, sw := range switches {
-		var replay *ddqn.Replay
-		if cfg.GlobalReplay {
-			replay = c.global
-		} else {
-			replay = ddqn.NewReplay(cfg.ReplayCap, root.SplitN("replay", int(sw)).Seed())
-		}
-		seed := root.SplitN("agent", int(sw)).Seed()
-		c.agents = append(c.agents, newSwitchAgent(sw, byOwner[sw], cfg, seed, replay))
-	}
+	dcfg := cfg.DDQN
+	dcfg.ObsDim = cfg.ObsDim()
+	dcfg.Actions = cfg.Actions()
+	c.Loop = core.NewLoop(net, cfg.loopConfig(), core.Learner{
+		// Neutral starting configuration, mid-range like PET's default.
+		Initial:  cfg.ActionToECN(cfg.Actions() / 2),
+		Features: cfg.slotFeatures,
+		Decide:   c.decide,
+		Attach: func(s *core.SwitchState, seed int64) core.Model {
+			replay := c.global
+			if replay == nil {
+				replay = ddqn.NewReplay(cfg.ReplayCap, root.SplitN("replay", int(s.Switch)).Seed())
+			}
+			a := &SwitchAgent{SwitchState: s, agent: ddqn.New(dcfg, seed, replay)}
+			c.agents = append(c.agents, a)
+			return a.agent
+		},
+	})
 	return c
 }
 
@@ -329,49 +207,49 @@ func (c *Controller) Config() Config { return c.cfg }
 // Agents returns the per-switch agents in NodeID order.
 func (c *Controller) Agents() []*SwitchAgent { return c.agents }
 
-// Start arms the sampling, tuning and cleanup tickers.
-func (c *Controller) Start() {
-	if c.started {
-		return
+// slotFeatures normalizes one slot into ACC's six per-slot features.
+func (c Config) slotFeatures(s *core.SwitchState, f core.SlotFeatures) []float64 {
+	bw := s.NCM().TotalBandwidth()
+	tx := float64(f.TxBytes) * 8 / (c.Interval.Seconds() * bw)
+	txm := float64(f.TxMarkedBytes) * 8 / (c.Interval.Seconds() * bw)
+	norm := c.Alpha * math.Pow(2, float64(c.NMax)) * 1024
+	cur := s.CurrentECN()
+	return []float64{
+		f.QAvgBytes / c.QlenNorm,
+		tx,
+		txm,
+		float64(cur.KminBytes) / norm,
+		float64(cur.KmaxBytes) / norm,
+		cur.Pmax,
 	}
-	c.started = true
-	eng := c.net.Engine()
-	samplePeriod := c.cfg.Interval / sim.Time(c.cfg.QueueSampleDiv)
-	if samplePeriod <= 0 {
-		samplePeriod = c.cfg.Interval
-	}
-	c.tickers = append(c.tickers, sim.NewTicker(eng, samplePeriod, func(sim.Time) {
-		for _, a := range c.agents {
-			a.NCM().SampleQueues()
-		}
-	}))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.Interval, func(sim.Time) {
-		for _, a := range c.agents {
-			a.Tick()
-		}
-	}))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.CleanupInterval, func(sim.Time) {
-		for _, a := range c.agents {
-			a.NCM().ScheduledCleanup()
-		}
-	}))
 }
 
-// Stop cancels the periodic machinery.
-func (c *Controller) Stop() {
-	for _, t := range c.tickers {
-		t.Stop()
+// decide is one DDQN step per agent: store the previous transition in the
+// (possibly global) replay, learn, and act ε-greedily.
+func (c *Controller) decide(obs []core.Observation, out []netsim.ECNConfig) {
+	for i, o := range obs {
+		a := c.agents[i]
+		if c.cfg.Train && a.hasPrev {
+			a.agent.Observe(ddqn.Transition{S: a.prevState, A: a.prevAct, R: o.Reward, S2: mat.Clone(o.State)})
+		}
+		eps := 0.0
+		if c.cfg.Train {
+			eps = c.cfg.Epsilon.At(a.Steps())
+		}
+		act := a.agent.Act(o.State, eps)
+		out[i] = c.cfg.ActionToECN(act)
+		a.hasPrev = true
+		a.prevState = mat.Clone(o.State)
+		a.prevAct = act
 	}
-	c.tickers = nil
-	c.started = false
 }
 
 // SetTrain toggles learning on every agent.
 func (c *Controller) SetTrain(on bool) {
-	for i := range c.agents {
-		c.agents[i].cfg.Train = on
-		if !on {
-			c.agents[i].hasPrev = false
+	c.cfg.Train = on
+	if !on {
+		for _, a := range c.agents {
+			a.hasPrev = false
 		}
 	}
 }
@@ -392,64 +270,8 @@ func (c *Controller) ReplayMemoryBytes() int64 {
 		return c.global.MemoryBytes() * int64(len(c.agents))
 	}
 	var total int64
-	seen := map[*ddqn.Replay]bool{}
 	for _, a := range c.agents {
-		rp := a.agent.Replay()
-		if !seen[rp] {
-			seen[rp] = true
-			total += rp.MemoryBytes()
-		}
+		total += a.agent.Replay().MemoryBytes()
 	}
 	return total
-}
-
-// modelBundle is the gob wire format of saved per-switch DDQN models.
-type modelBundle struct {
-	Models map[int][]byte
-}
-
-// EncodeModels serializes every agent's Q-network, giving ACC the same
-// offline-pretrain → online-deploy pipeline as PET for fair comparisons.
-func (c *Controller) EncodeModels() ([]byte, error) {
-	b := modelBundle{Models: make(map[int][]byte, len(c.agents))}
-	for _, a := range c.agents {
-		data, err := a.agent.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("acc: encoding agent %d: %w", a.Switch, err)
-		}
-		b.Models[int(a.Switch)] = data
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
-
-// LoadModels restores agent networks saved by EncodeModels.
-func (c *Controller) LoadModels(data []byte) error {
-	var b modelBundle
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
-		return fmt.Errorf("acc: decoding model bundle: %w", err)
-	}
-	for _, a := range c.agents {
-		m, ok := b.Models[int(a.Switch)]
-		if !ok {
-			continue
-		}
-		if err := a.agent.RestoreFrom(m); err != nil {
-			return fmt.Errorf("acc: restoring agent %d: %w", a.Switch, err)
-		}
-	}
-	return nil
-}
-
-// MeanReward averages per-agent mean rewards.
-func (c *Controller) MeanReward() float64 {
-	if len(c.agents) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, a := range c.agents {
-		sum += a.MeanReward()
-	}
-	return sum / float64(len(c.agents))
 }

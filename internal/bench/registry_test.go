@@ -63,6 +63,34 @@ func TestUnknownSchemeTypedError(t *testing.T) {
 	}
 }
 
+// Scenario.Models is loaded in one place, NewEnv, for every scheme: a
+// ModelScheme rejects a bad bundle, and a scheme that is not one rejects
+// any bundle with a typed error instead of silently running untrained.
+func TestScenarioModelsLoadedForEveryScheme(t *testing.T) {
+	good, err := bench.PretrainInit(bench.Scenario{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bench.NewEnv(bench.Scenario{Scheme: bench.SchemePET, Models: good}); err != nil {
+		t.Fatalf("PET rejected its own bundle: %v", err)
+	}
+	for _, scheme := range []bench.Scheme{bench.SchemePET, bench.SchemePETAblated, bench.SchemeACC} {
+		if _, err := bench.NewEnv(bench.Scenario{Scheme: scheme, Models: []byte("garbage")}); err == nil {
+			t.Errorf("%s: garbage bundle accepted", scheme)
+		}
+	}
+	if _, err := bench.NewEnv(bench.Scenario{Scheme: bench.SchemeACC, Models: good}); err == nil {
+		t.Error("ACC accepted a PET bundle")
+	}
+	for _, scheme := range []bench.Scheme{bench.SchemeSECN1, bench.SchemePETCTDE} {
+		_, err := bench.NewEnv(bench.Scenario{Scheme: scheme, Models: good})
+		var none *bench.NoModelsError
+		if !errors.As(err, &none) || none.Scheme != scheme {
+			t.Errorf("%s: err = %v, want *NoModelsError", scheme, err)
+		}
+	}
+}
+
 func TestUnknownTransportTypedError(t *testing.T) {
 	_, err := bench.Run(bench.Scenario{Transport: "carrier-pigeon"})
 	var unknown *bench.UnknownTransportError

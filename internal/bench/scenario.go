@@ -92,7 +92,7 @@ type Scenario struct {
 	ExplicitBetas bool
 
 	Train  bool   // online incremental training during warmup
-	Models []byte // optional offline-pretrained PET model bundle
+	Models []byte // optional offline-pretrained bundle, loaded by any ModelScheme
 
 	// TrainDuringMeasure keeps online training (and therefore exploratory
 	// action sampling) enabled inside the measurement window. Off by
@@ -323,6 +323,15 @@ func NewEnv(s Scenario) (*Env, error) {
 
 	if e.Control, err = buildScheme(e); err != nil {
 		return nil, fmt.Errorf("bench: assembling scheme %q: %w", s.Scheme, err)
+	}
+	if len(s.Models) > 0 {
+		ms, err := e.modelControl()
+		if err != nil {
+			return nil, err
+		}
+		if err := ms.LoadModels(s.Models); err != nil {
+			return nil, fmt.Errorf("bench: loading %s models: %w", s.Scheme, err)
+		}
 	}
 	e.Control.Start()
 	return e, nil
@@ -568,12 +577,21 @@ type EpisodeStats struct {
 	Updates    int     // completed IPPO updates across agents
 }
 
-// modelControl returns the env's scheme as a ModelScheme, or an error when
-// the scheme cannot serialize models and so cannot be pre-trained.
+// NoModelsError reports a scheme that cannot serialize or load models
+// (it is not a ModelScheme) asked to do so: given Scenario.Models, or
+// pre-trained.
+type NoModelsError struct{ Scheme Scheme }
+
+func (e *NoModelsError) Error() string {
+	return fmt.Sprintf("bench: scheme %q does not support model serialization", e.Scheme)
+}
+
+// modelControl returns the env's scheme as a ModelScheme, or a
+// *NoModelsError when it is not one.
 func (e *Env) modelControl() (ModelScheme, error) {
 	ms, ok := e.Control.(ModelScheme)
 	if !ok {
-		return nil, fmt.Errorf("bench: scheme %q does not support model serialization", e.Scenario.Scheme)
+		return nil, &NoModelsError{Scheme: e.Scenario.Scheme}
 	}
 	return ms, nil
 }

@@ -1,26 +1,18 @@
 package core
 
 import (
-	"pet/internal/mat"
 	"pet/internal/netsim"
 	"pet/internal/rl"
 	"pet/internal/rl/ppo"
-	"pet/internal/telemetry"
-	"pet/internal/topo"
 )
 
 // SwitchAgent is one DTDE agent: an independent PPO learner bound to one
 // switch, with its own NCM, trajectory and exploration schedule. No state,
 // replay or parameters are shared with other agents.
 type SwitchAgent struct {
-	Switch topo.NodeID
-	cfg    Config
-	ports  []*netsim.Port
-	ncm    *NCM
-	agent  *ppo.Agent
-
-	history [][]float64 // last HistoryK slot feature vectors
-	current netsim.ECNConfig
+	*SwitchState
+	cfg   Config
+	agent *ppo.Agent
 
 	traj      rl.Trajectory
 	hasPrev   bool
@@ -29,87 +21,58 @@ type SwitchAgent struct {
 	prevLogp  float64
 	prevValue float64
 
-	steps      int
-	updates    int
-	rewardSum  float64
-	lastReward float64
-	reward     *telemetry.Gauge // latest slot reward; nil without telemetry
+	updates int
 }
 
-func newSwitchAgent(sw topo.NodeID, ports []*netsim.Port, cfg Config, seed int64) *SwitchAgent {
+func newSwitchAgent(s *SwitchState, cfg Config, seed int64) *SwitchAgent {
 	pcfg := cfg.PPO
 	pcfg.ObsDim = cfg.ObsDim()
 	pcfg.Heads = cfg.Heads()
-	a := &SwitchAgent{
-		Switch: sw,
-		cfg:    cfg,
-		ports:  ports,
-		ncm:    NewNCM(ports, cfg),
-		agent:  ppo.New(pcfg, seed),
-		reward: cfg.Telemetry.Gauge("pet_slot_reward"),
-	}
+	a := &SwitchAgent{SwitchState: s, cfg: cfg, agent: ppo.New(pcfg, seed)}
 	a.agent.SetTelemetry(cfg.Telemetry)
-	a.applyAction(cfg.DefaultAction())
 	return a
 }
-
-// NCM exposes the agent's monitor (read-only use).
-func (a *SwitchAgent) NCM() *NCM { return a.ncm }
 
 // Policy exposes the underlying PPO agent (for model save/restore).
 func (a *SwitchAgent) Policy() *ppo.Agent { return a.agent }
 
-// CurrentECN returns the configuration currently installed on the queues.
-func (a *SwitchAgent) CurrentECN() netsim.ECNConfig { return a.current }
-
-// Steps returns the number of completed tuning intervals.
-func (a *SwitchAgent) Steps() int { return a.steps }
-
 // Updates returns the number of completed IPPO updates.
 func (a *SwitchAgent) Updates() int { return a.updates }
 
-// MeanReward returns the average reward over all tuning steps so far.
-func (a *SwitchAgent) MeanReward() float64 {
-	if a.steps == 0 {
-		return 0
-	}
-	return a.rewardSum / float64(a.steps)
-}
-
-// LastReward returns the most recent slot reward.
-func (a *SwitchAgent) LastReward() float64 { return a.lastReward }
-
-// applyAction runs the ECN-CM + QMM path: translate head indices and
-// install the result on every managed queue.
-func (a *SwitchAgent) applyAction(acts []int) {
-	a.current = a.cfg.ActionToECN(acts)
-	for _, p := range a.ports {
-		p.SetECN(a.cfg.Class, a.current)
-	}
-	if a.cfg.OnApply != nil {
-		a.cfg.OnApply(a.Switch, a.current)
+// ppoLearner is the Learner half PET and PET-CTDE share: one PPO actor per
+// switch, appended to *agents, over PET's eight-feature slot state.
+func ppoLearner(cfg Config, agents *[]*SwitchAgent, decide func([]Observation, []netsim.ECNConfig)) Learner {
+	return Learner{
+		Initial:  cfg.ActionToECN(cfg.DefaultAction()),
+		Features: cfg.slotFeatures,
+		Attach: func(s *SwitchState, seed int64) Model {
+			a := newSwitchAgent(s, cfg, seed)
+			*agents = append(*agents, a)
+			return a.agent
+		},
+		Decide: decide,
 	}
 }
 
 // slotFeatures normalizes one slot into the agent's per-slot feature
 // vector (the six pivotal factors of Eq. 2, thresholds unpacked).
-func (a *SwitchAgent) slotFeatures(f SlotFeatures) []float64 {
-	kmin, kmax, pmax := a.cfg.ECNToFeatures(a.current)
-	txNorm := float64(f.TxBytes) * 8 / (a.cfg.Interval.Seconds() * a.ncm.TotalBandwidth())
-	markNorm := float64(f.TxMarkedBytes) * 8 / (a.cfg.Interval.Seconds() * a.ncm.TotalBandwidth())
-	incast := float64(f.IncastDegree) / a.cfg.IncastNorm
+func (c Config) slotFeatures(s *SwitchState, f SlotFeatures) []float64 {
+	kmin, kmax, pmax := c.ECNToFeatures(s.current)
+	txNorm := float64(f.TxBytes) * 8 / (c.Interval.Seconds() * s.ncm.TotalBandwidth())
+	markNorm := float64(f.TxMarkedBytes) * 8 / (c.Interval.Seconds() * s.ncm.TotalBandwidth())
+	incast := float64(f.IncastDegree) / c.IncastNorm
 	if incast > 1 {
 		incast = 1
 	}
-	if a.cfg.DisableIncastState {
+	if c.DisableIncastState {
 		incast = 0
 	}
 	ratio := f.MiceRatio
-	if a.cfg.DisableRatioState {
+	if c.DisableRatioState {
 		ratio = 0
 	}
 	return []float64{
-		f.QAvgBytes / a.cfg.QlenNorm,
+		f.QAvgBytes / c.QlenNorm,
 		txNorm,
 		markNorm,
 		kmin,
@@ -117,100 +80,5 @@ func (a *SwitchAgent) slotFeatures(f SlotFeatures) []float64 {
 		pmax,
 		incast,
 		ratio,
-	}
-}
-
-// Reward evaluates Eq. (6)–(8) for one slot: r = β1·T + β2·La with
-// T = txRate/BW and the bounded La = 1/(1 + qAvg/Qref).
-func (a *SwitchAgent) Reward(f SlotFeatures) float64 {
-	T := float64(f.TxBytes) * 8 / (a.cfg.Interval.Seconds() * a.ncm.TotalBandwidth())
-	if T > 1 {
-		T = 1
-	}
-	La := 1 / (1 + f.QAvgBytes/a.cfg.QrefBytes)
-	return a.cfg.Beta1*T + a.cfg.Beta2*La
-}
-
-// state flattens the slot history into the observation vector.
-func (a *SwitchAgent) state() []float64 {
-	out := make([]float64, 0, a.cfg.ObsDim())
-	for _, h := range a.history {
-		out = append(out, h...)
-	}
-	return out
-}
-
-// observe closes one monitoring slot: roll the NCM, fold the new features
-// into the history window, and return the current state and the reward
-// earned by the previous action. ok is false until the history fills.
-func (a *SwitchAgent) observe() (state []float64, reward float64, ok bool) {
-	f := a.ncm.RollSlot()
-	feat := a.slotFeatures(f)
-	if len(a.history) == a.cfg.HistoryK {
-		copy(a.history, a.history[1:])
-		a.history[a.cfg.HistoryK-1] = feat
-	} else {
-		a.history = append(a.history, feat)
-	}
-	if len(a.history) < a.cfg.HistoryK {
-		return nil, 0, false // not enough history; run with the default config
-	}
-	reward = a.Reward(f)
-	a.steps++
-	a.rewardSum += reward
-	a.lastReward = reward
-	a.reward.Set(reward)
-	return a.state(), reward, true
-}
-
-// actAndApply queries the policy and installs the chosen configuration.
-func (a *SwitchAgent) actAndApply(state []float64, explore bool) (acts []int, logp, value float64) {
-	acts, logp, value = a.agent.Act(state, explore)
-	a.applyAction(acts)
-	return acts, logp, value
-}
-
-// Tick closes one tuning interval Δt: roll the NCM slot, account the
-// reward for the previous action, optionally learn, and install the next
-// ECN configuration.
-func (a *SwitchAgent) Tick() {
-	state, reward, ok := a.observe()
-	if !ok {
-		return
-	}
-
-	if a.cfg.Train && a.hasPrev {
-		a.traj.Add(rl.Transition{
-			State:   a.prevState,
-			Actions: a.prevActs,
-			LogProb: a.prevLogp,
-			Value:   a.prevValue,
-			Reward:  reward,
-		})
-		if a.traj.Len() >= a.cfg.UpdateEvery {
-			last := a.agent.Value(state)
-			a.agent.Update(&a.traj, last)
-			a.traj.Reset()
-			a.updates++
-			// Eq. (13): exponential decay of the exploration parameter.
-			a.agent.SetClipEps(a.cfg.Explore.At(a.updates))
-		}
-	}
-
-	acts, logp, value := a.actAndApply(state, a.cfg.Train)
-	a.hasPrev = true
-	a.prevState = mat.Clone(state)
-	a.prevActs = acts
-	a.prevLogp = logp
-	a.prevValue = value
-}
-
-// SetTrain toggles online incremental training at runtime (offline-trained
-// models are deployed with Train off, then enabled for incremental tuning).
-func (a *SwitchAgent) SetTrain(on bool) {
-	a.cfg.Train = on
-	if !on {
-		a.traj.Reset()
-		a.hasPrev = false
 	}
 }

@@ -1,51 +1,29 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sort"
 
+	"pet/internal/mat"
 	"pet/internal/netsim"
+	"pet/internal/rl"
 	"pet/internal/rl/ppo"
-	"pet/internal/rng"
-	"pet/internal/sim"
-	"pet/internal/topo"
 )
 
 // Controller is the PET multi-agent system over one network: one
 // independent SwitchAgent per switch (DTDE), each driving the ECN
 // configuration of that switch's egress queues every Δt.
 type Controller struct {
+	*Loop
 	cfg    Config
-	net    *netsim.Network
 	agents []*SwitchAgent
-
-	started bool
-	tickers []*sim.Ticker
 }
 
 // NewController builds one agent per switch. Agents are seeded
 // independently from cfg.Seed.
 func NewController(net *netsim.Network, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, net: net}
-
-	byOwner := make(map[topo.NodeID][]*netsim.Port)
-	for _, p := range net.SwitchPorts() {
-		byOwner[p.Owner()] = append(byOwner[p.Owner()], p)
-	}
-	switches := make([]topo.NodeID, 0, len(byOwner))
-	for sw := range byOwner {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-
-	root := rng.New(cfg.Seed)
-	for _, sw := range switches {
-		seed := root.SplitN("agent", int(sw)).Seed()
-		c.agents = append(c.agents, newSwitchAgent(sw, byOwner[sw], cfg, seed))
-	}
+	c := &Controller{cfg: cfg}
+	c.Loop = NewLoop(net, cfg, ppoLearner(cfg, &c.agents, c.decide))
 	return c
 }
 
@@ -55,49 +33,47 @@ func (c *Controller) Config() Config { return c.cfg }
 // Agents returns the per-switch agents in NodeID order.
 func (c *Controller) Agents() []*SwitchAgent { return c.agents }
 
-// Start arms the periodic machinery: the fine-grained queue sampler, the
-// per-Δt tuning tick, and the NCM scheduled cleanup.
-func (c *Controller) Start() {
-	if c.started {
-		return
+// decide is one independent IPPO step per agent: account the reward for
+// the previous action, optionally learn, and pick the next configuration.
+func (c *Controller) decide(obs []Observation, out []netsim.ECNConfig) {
+	for i, o := range obs {
+		a := c.agents[i]
+		if c.cfg.Train && a.hasPrev {
+			a.traj.Add(rl.Transition{
+				State:   a.prevState,
+				Actions: a.prevActs,
+				LogProb: a.prevLogp,
+				Value:   a.prevValue,
+				Reward:  o.Reward,
+			})
+			if a.traj.Len() >= c.cfg.UpdateEvery {
+				last := a.agent.Value(o.State)
+				a.agent.Update(&a.traj, last)
+				a.traj.Reset()
+				a.updates++
+				// Eq. (13): exponential decay of the exploration parameter.
+				a.agent.SetClipEps(c.cfg.Explore.At(a.updates))
+			}
+		}
+		acts, logp, value := a.agent.Act(o.State, c.cfg.Train)
+		out[i] = c.cfg.ActionToECN(acts)
+		a.hasPrev = true
+		a.prevState = mat.Clone(o.State)
+		a.prevActs = acts
+		a.prevLogp = logp
+		a.prevValue = value
 	}
-	c.started = true
-	eng := c.net.Engine()
-
-	samplePeriod := c.cfg.Interval / sim.Time(c.cfg.QueueSampleDiv)
-	if samplePeriod <= 0 {
-		samplePeriod = c.cfg.Interval
-	}
-	c.tickers = append(c.tickers, sim.NewTicker(eng, samplePeriod, func(sim.Time) {
-		for _, a := range c.agents {
-			a.ncm.SampleQueues()
-		}
-	}))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.Interval, func(sim.Time) {
-		for _, a := range c.agents {
-			a.Tick()
-		}
-	}))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.CleanupInterval, func(sim.Time) {
-		for _, a := range c.agents {
-			a.ncm.ScheduledCleanup()
-		}
-	}))
 }
 
-// Stop cancels the periodic machinery.
-func (c *Controller) Stop() {
-	for _, t := range c.tickers {
-		t.Stop()
-	}
-	c.tickers = nil
-	c.started = false
-}
-
-// SetTrain toggles online incremental training on every agent.
+// SetTrain toggles online incremental training at runtime (offline-trained
+// models are deployed with Train off, then enabled for incremental tuning).
 func (c *Controller) SetTrain(on bool) {
-	for _, a := range c.agents {
-		a.SetTrain(on)
+	c.cfg.Train = on
+	if !on {
+		for _, a := range c.agents {
+			a.traj.Reset()
+			a.hasPrev = false
+		}
 	}
 }
 
@@ -108,97 +84,6 @@ func (c *Controller) TotalUpdates() int {
 		n += a.updates
 	}
 	return n
-}
-
-// MeanReward averages the per-agent mean rewards.
-func (c *Controller) MeanReward() float64 {
-	if len(c.agents) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, a := range c.agents {
-		sum += a.MeanReward()
-	}
-	return sum / float64(len(c.agents))
-}
-
-// modelBundle is the gob wire format of saved per-switch models: parallel
-// slices sorted by switch NodeID. The sorted-slice layout (rather than a
-// map) makes encoding byte-deterministic — equal weights always produce
-// equal bundle bytes, which the fleet's reproducibility guarantees and its
-// checkpoint checksums rely on.
-type modelBundle struct {
-	Switches []int
-	Models   [][]byte
-}
-
-func decodeBundle(data []byte) (*modelBundle, error) {
-	var b modelBundle
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("core: decoding model bundle: %w", err)
-	}
-	if len(b.Switches) != len(b.Models) {
-		return nil, fmt.Errorf("core: model bundle has %d switches but %d models",
-			len(b.Switches), len(b.Models))
-	}
-	if !sort.IntsAreSorted(b.Switches) {
-		return nil, fmt.Errorf("core: model bundle switches not sorted: %v", b.Switches)
-	}
-	return &b, nil
-}
-
-// EncodeModels serializes every agent's networks — the artifact the
-// offline pre-training phase ships to switches (Sec. 4.4.1).
-func (c *Controller) EncodeModels() ([]byte, error) {
-	var b modelBundle
-	for _, a := range c.agents { // agents are already in NodeID order
-		data, err := a.agent.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding agent %d: %w", a.Switch, err)
-		}
-		b.Switches = append(b.Switches, int(a.Switch))
-		b.Models = append(b.Models, data)
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(b)
-	return buf.Bytes(), err
-}
-
-// LoadModels restores agent networks saved by EncodeModels. Agents without
-// a matching entry keep their current weights. The architecture (ObsDim,
-// Heads, Hidden) must match. The load is all-or-nothing: every snapshot in
-// the bundle is validated before the first agent is touched, so a
-// corrupted or truncated bundle leaves the controller exactly as it was.
-func (c *Controller) LoadModels(data []byte) error {
-	b, err := decodeBundle(data)
-	if err != nil {
-		return err
-	}
-	models := make(map[int][]byte, len(b.Switches))
-	for i, sw := range b.Switches {
-		models[sw] = b.Models[i]
-	}
-	// Phase 1: validate every matching snapshot without mutating anything.
-	for _, a := range c.agents {
-		m, ok := models[int(a.Switch)]
-		if !ok {
-			continue
-		}
-		if err := a.agent.ValidateSnapshot(m); err != nil {
-			return fmt.Errorf("core: validating agent %d: %w", a.Switch, err)
-		}
-	}
-	// Phase 2: apply. Post-validation these restores cannot fail.
-	for _, a := range c.agents {
-		m, ok := models[int(a.Switch)]
-		if !ok {
-			continue
-		}
-		if err := a.agent.RestoreFrom(m); err != nil {
-			return fmt.Errorf("core: restoring agent %d: %w", a.Switch, err)
-		}
-	}
-	return nil
 }
 
 // MergeModelBundles folds bundles saved by EncodeModels into one bundle by
@@ -246,9 +131,5 @@ func MergeModelBundles(bundles [][]byte) ([]byte, error) {
 		}
 		out.Models = append(out.Models, merged)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeBundle(out)
 }

@@ -344,21 +344,13 @@ func TestAblationFlagsZeroFeatures(t *testing.T) {
 	cfg.DisableRatioState = true
 	c := cfg.withDefaults()
 	f := newFixture(t, 10)
-	var ports []*netsim.Port
-	leaf := f.ls.LeafOf(f.ls.Hosts[0])
-	for _, p := range f.net.SwitchPorts() {
-		if p.Owner() == leaf {
-			ports = append(ports, p)
-		}
-	}
-	a := newSwitchAgent(leaf, ports, c, 1)
-	feat := a.slotFeatures(SlotFeatures{IncastDegree: 10, MiceRatio: 0.7, TxBytes: 1000})
+	s := NewController(f.net, cfg).Agents()[0].SwitchState
+	feat := c.slotFeatures(s, SlotFeatures{IncastDegree: 10, MiceRatio: 0.7, TxBytes: 1000})
 	if feat[6] != 0 || feat[7] != 0 {
 		t.Fatalf("ablated features nonzero: %v", feat)
 	}
 	full := testConfig().withDefaults()
-	b := newSwitchAgent(leaf, ports, full, 1)
-	feat2 := b.slotFeatures(SlotFeatures{IncastDegree: 10, MiceRatio: 0.7})
+	feat2 := full.slotFeatures(s, SlotFeatures{IncastDegree: 10, MiceRatio: 0.7})
 	if feat2[6] == 0 || feat2[7] != 0.7 {
 		t.Fatalf("full features wrong: %v", feat2)
 	}
@@ -366,17 +358,15 @@ func TestAblationFlagsZeroFeatures(t *testing.T) {
 
 func TestRewardTradeoff(t *testing.T) {
 	f := newFixture(t, 11)
-	leaf := f.ls.LeafOf(f.ls.Hosts[0])
-	var ports []*netsim.Port
-	for _, p := range f.net.SwitchPorts() {
-		if p.Owner() == leaf {
-			ports = append(ports, p)
-		}
+	ctl := NewController(f.net, testConfig())
+	s := ctl.Agents()[0].SwitchState
+	reward := func(f SlotFeatures) float64 {
+		r, _, _ := ctl.rewardOf(s, f)
+		return r
 	}
-	a := newSwitchAgent(leaf, ports, testConfig().withDefaults(), 1)
-	idle := a.Reward(SlotFeatures{})                                         // empty queue, no throughput
-	busyShort := a.Reward(SlotFeatures{TxBytes: 1 << 20})                    // throughput, empty queue
-	busyLong := a.Reward(SlotFeatures{TxBytes: 1 << 20, QAvgBytes: 1 << 20}) // deep queue
+	idle := reward(SlotFeatures{})                                         // empty queue, no throughput
+	busyShort := reward(SlotFeatures{TxBytes: 1 << 20})                    // throughput, empty queue
+	busyLong := reward(SlotFeatures{TxBytes: 1 << 20, QAvgBytes: 1 << 20}) // deep queue
 	if busyShort <= idle {
 		t.Fatalf("throughput not rewarded: %v <= %v", busyShort, idle)
 	}
@@ -469,19 +459,12 @@ func TestNCMQueueSampling(t *testing.T) {
 
 func TestAgentTickBeforeHistoryKeepsDefault(t *testing.T) {
 	f := newFixture(t, 31)
-	leaf := f.ls.LeafOf(f.ls.Hosts[0])
-	var ports []*netsim.Port
-	for _, p := range f.net.SwitchPorts() {
-		if p.Owner() == leaf {
-			ports = append(ports, p)
-		}
-	}
-	cfg := testConfig().withDefaults()
-	a := newSwitchAgent(leaf, ports, cfg, 1)
+	ctl := NewController(f.net, testConfig())
+	a := ctl.Agents()[0]
 	def := a.CurrentECN()
 	// Fewer ticks than HistoryK: the agent must not act yet.
-	for i := 0; i < cfg.HistoryK-1; i++ {
-		a.Tick()
+	for i := 0; i < ctl.Config().HistoryK-1; i++ {
+		ctl.tick()
 	}
 	if a.CurrentECN() != def {
 		t.Fatal("agent acted before its history window filled")
@@ -489,7 +472,7 @@ func TestAgentTickBeforeHistoryKeepsDefault(t *testing.T) {
 	if a.Steps() != 0 {
 		t.Fatalf("steps counted during history fill: %d", a.Steps())
 	}
-	a.Tick() // window full: acts now
+	ctl.tick() // window full: acts now
 	if a.Steps() != 1 {
 		t.Fatalf("steps = %d after window filled", a.Steps())
 	}

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"sort"
-
 	"pet/internal/mat"
 	"pet/internal/netsim"
 	"pet/internal/rl"
 	"pet/internal/rl/ppo"
 	"pet/internal/rng"
-	"pet/internal/sim"
-	"pet/internal/topo"
 )
 
 // CTDEController is the Centralized-Training / Decentralized-Execution
@@ -20,53 +16,33 @@ import (
 // deployment would move to the central trainer every interval; that number
 // is the bandwidth overhead PET's IPPO avoids.
 type CTDEController struct {
+	*Loop
 	cfg    Config
-	net    *netsim.Network
 	agents []*SwitchAgent
 	critic *ppo.Critic
 
-	// Joint-trajectory buffers, aligned by time step.
+	// Joint-trajectory buffers, aligned by time step with the actors' own
+	// trajectories; each actor keeps its previous local state, actions
+	// and log-probability in its SwitchAgent fields.
 	jointStates [][]float64
 	teamRewards []float64
-	perAgent    []rl.Trajectory
 
 	hasPrev        bool
 	prevJoint      []float64
 	prevJointValue float64
-	prevActs       [][]int
-	prevLogp       []float64
-	prevLocals     [][]float64
 
 	bytesCollected int64 // observation gossip to the central trainer
 	updates        int
-	started        bool
-	tickers        []*sim.Ticker
 }
 
 // NewCTDEController builds local actors (one per switch) plus one central
 // critic over the concatenated observations.
 func NewCTDEController(net *netsim.Network, cfg Config) *CTDEController {
 	cfg = cfg.withDefaults()
-	c := &CTDEController{cfg: cfg, net: net}
-
-	byOwner := make(map[topo.NodeID][]*netsim.Port)
-	for _, p := range net.SwitchPorts() {
-		byOwner[p.Owner()] = append(byOwner[p.Owner()], p)
-	}
-	switches := make([]topo.NodeID, 0, len(byOwner))
-	for sw := range byOwner {
-		switches = append(switches, sw)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-
-	root := rng.New(cfg.Seed)
-	for _, sw := range switches {
-		seed := root.SplitN("agent", int(sw)).Seed()
-		c.agents = append(c.agents, newSwitchAgent(sw, byOwner[sw], cfg, seed))
-	}
-	c.perAgent = make([]rl.Trajectory, len(c.agents))
+	c := &CTDEController{cfg: cfg}
+	c.Loop = NewLoop(net, cfg, ppoLearner(cfg, &c.agents, c.decide))
 	jointDim := cfg.ObsDim() * len(c.agents)
-	c.critic = ppo.NewCritic(jointDim, cfg.PPO.Hidden, cfg.PPO.CriticLR, root.Split("critic").Seed())
+	c.critic = ppo.NewCritic(jointDim, cfg.PPO.Hidden, cfg.PPO.CriticLR, rng.New(cfg.Seed).Split("critic").Seed())
 	return c
 }
 
@@ -80,78 +56,20 @@ func (c *CTDEController) BytesCollected() int64 { return c.bytesCollected }
 // Updates returns how many centralized updates have completed.
 func (c *CTDEController) Updates() int { return c.updates }
 
-// MeanReward averages the per-agent mean rewards.
-func (c *CTDEController) MeanReward() float64 {
-	if len(c.agents) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, a := range c.agents {
-		sum += a.MeanReward()
-	}
-	return sum / float64(len(c.agents))
-}
-
-// Start arms the sampling, tuning and cleanup tickers.
-func (c *CTDEController) Start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	eng := c.net.Engine()
-	samplePeriod := c.cfg.Interval / sim.Time(c.cfg.QueueSampleDiv)
-	if samplePeriod <= 0 {
-		samplePeriod = c.cfg.Interval
-	}
-	c.tickers = append(c.tickers, sim.NewTicker(eng, samplePeriod, func(sim.Time) {
-		for _, a := range c.agents {
-			a.ncm.SampleQueues()
-		}
-	}))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.Interval, func(sim.Time) { c.tick() }))
-	c.tickers = append(c.tickers, sim.NewTicker(eng, c.cfg.CleanupInterval, func(sim.Time) {
-		for _, a := range c.agents {
-			a.ncm.ScheduledCleanup()
-		}
-	}))
-}
-
-// Stop cancels the periodic machinery.
-func (c *CTDEController) Stop() {
-	for _, t := range c.tickers {
-		t.Stop()
-	}
-	c.tickers = nil
-	c.started = false
-}
-
-// tick runs one joint interval: collect every agent's observation, learn
+// decide runs one joint interval: collect every agent's observation, learn
 // centrally, act locally.
-func (c *CTDEController) tick() {
-	n := len(c.agents)
-	locals := make([][]float64, n)
+func (c *CTDEController) decide(obs []Observation, out []netsim.ECNConfig) {
+	// Central collection: the joint observation and the team reward cross
+	// the network every interval in a real CTDE deployment. 8 bytes per
+	// feature.
+	n := len(obs)
+	joint := make([]float64, 0, c.cfg.ObsDim()*n)
 	rewardSum := 0.0
-	ready := true
-	for i, a := range c.agents {
-		state, reward, ok := a.observe()
-		if !ok {
-			ready = false
-			continue
-		}
-		locals[i] = state
-		rewardSum += reward
-	}
-	if !ready {
-		return
+	for _, o := range obs {
+		joint = append(joint, o.State...)
+		rewardSum += o.Reward
 	}
 	teamReward := rewardSum / float64(n)
-
-	// Central collection: the joint observation crosses the network every
-	// interval in a real CTDE deployment. 8 bytes per feature.
-	joint := make([]float64, 0, c.cfg.ObsDim()*n)
-	for _, s := range locals {
-		joint = append(joint, s...)
-	}
 	if c.cfg.Train {
 		c.bytesCollected += int64(8 * len(joint))
 	}
@@ -160,11 +78,11 @@ func (c *CTDEController) tick() {
 	if c.cfg.Train && c.hasPrev {
 		c.jointStates = append(c.jointStates, c.prevJoint)
 		c.teamRewards = append(c.teamRewards, teamReward)
-		for i := range c.agents {
-			c.perAgent[i].Add(rl.Transition{
-				State:   c.prevLocals[i],
-				Actions: c.prevActs[i],
-				LogProb: c.prevLogp[i],
+		for _, a := range c.agents {
+			a.traj.Add(rl.Transition{
+				State:   a.prevState,
+				Actions: a.prevActs,
+				LogProb: a.prevLogp,
 				Value:   c.prevJointValue,
 				Reward:  teamReward,
 			})
@@ -174,19 +92,14 @@ func (c *CTDEController) tick() {
 		}
 	}
 
-	acts := make([][]int, n)
-	logps := make([]float64, n)
-	prevLocals := make([][]float64, n)
 	for i, a := range c.agents {
-		acts[i], logps[i], _ = a.actAndApply(locals[i], c.cfg.Train)
-		prevLocals[i] = mat.Clone(locals[i])
+		a.prevActs, a.prevLogp, _ = a.agent.Act(obs[i].State, c.cfg.Train)
+		out[i] = c.cfg.ActionToECN(a.prevActs)
+		a.prevState = mat.Clone(obs[i].State)
 	}
 	c.hasPrev = true
 	c.prevJoint = mat.Clone(joint)
 	c.prevJointValue = jointValue
-	c.prevActs = acts
-	c.prevLogp = logps
-	c.prevLocals = prevLocals
 }
 
 // update runs one MAPPO step: GAE over team rewards with centralized
@@ -194,17 +107,17 @@ func (c *CTDEController) tick() {
 // with the shared advantages.
 func (c *CTDEController) update(lastValue float64) {
 	values := make([]float64, len(c.teamRewards))
-	for i := range c.perAgent[0].Steps {
-		values[i] = c.perAgent[0].Steps[i].Value
+	for i, st := range c.agents[0].traj.Steps {
+		values[i] = st.Value
 	}
 	pcfg := c.agents[0].agent.Config()
 	adv, returns := rl.GAE(c.teamRewards, values, lastValue, pcfg.Gamma, pcfg.Lambda)
 	rl.NormalizeAdvantages(adv)
 
 	c.critic.Fit(c.jointStates, returns, pcfg.Minibatch)
-	for i := range c.agents {
-		c.agents[i].agent.UpdateActor(&c.perAgent[i], adv)
-		c.perAgent[i].Reset()
+	for _, a := range c.agents {
+		a.agent.UpdateActor(&a.traj, adv)
+		a.traj.Reset()
 	}
 	c.jointStates = c.jointStates[:0]
 	c.teamRewards = c.teamRewards[:0]

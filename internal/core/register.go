@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pet/internal/bench"
 	"pet/internal/rl/ppo"
 )
@@ -20,13 +18,7 @@ func init() {
 }
 
 func buildPET(e *bench.Env) (bench.ControlScheme, error) {
-	c := NewController(e.Net, benchConfig(e))
-	if m := e.Scenario.Models; len(m) > 0 {
-		if err := c.LoadModels(m); err != nil {
-			return nil, fmt.Errorf("loading PET models: %w", err)
-		}
-	}
-	return c, nil
+	return NewController(e.Net, benchConfig(e)), nil
 }
 
 // benchTrainKnobs centralizes the IPPO training-budget knobs the bench
@@ -76,11 +68,15 @@ func (c *Controller) Overhead() map[string]int64 { return nil }
 // ctdeScheme adapts CTDEController to bench.ControlScheme. SetTrain is a
 // no-op by design: centralized training cannot be paused without abandoning
 // its premise, and its collection overhead during operation is part of what
-// the DTDE-vs-CTDE comparison measures.
-type ctdeScheme struct{ *CTDEController }
+// the DTDE-vs-CTDE comparison measures. It is deliberately not a
+// bench.ModelScheme: a bundle carries the per-switch actors but not the
+// central critic, so CTDE trains online only.
+type ctdeScheme struct{ ctl *CTDEController }
+
+func (s ctdeScheme) Start() { s.ctl.Start() }
 
 func (s ctdeScheme) SetTrain(bool) {}
 
 func (s ctdeScheme) Overhead() map[string]int64 {
-	return map[string]int64{bench.OverheadCentralBytes: s.BytesCollected()}
+	return map[string]int64{bench.OverheadCentralBytes: s.ctl.BytesCollected()}
 }

@@ -6,7 +6,9 @@
 package ddqn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"pet/internal/mat"
 	"pet/internal/nn"
@@ -240,10 +242,19 @@ func (a *Agent) Encode() ([]byte, error) {
 	return a.online.Encode()
 }
 
+// ValidateSnapshot reports whether data is an Encode output loadable into
+// this agent — same layer sizes — without touching any weights. Callers
+// restoring many agents at once validate every snapshot first so a
+// corrupted bundle cannot leave some agents restored and others not.
+func (a *Agent) ValidateSnapshot(data []byte) error {
+	_, err := a.decodeSnapshot(data)
+	return err
+}
+
 // RestoreFrom loads weights saved by Encode into both networks. The
-// architecture must match.
+// architecture must match; a failed restore leaves the agent unchanged.
 func (a *Agent) RestoreFrom(data []byte) error {
-	m, err := nn.Decode(data)
+	m, err := a.decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
@@ -252,6 +263,17 @@ func (a *Agent) RestoreFrom(data []byte) error {
 	}
 	a.SyncTarget()
 	return nil
+}
+
+func (a *Agent) decodeSnapshot(data []byte) (*nn.MLP, error) {
+	m, err := nn.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("ddqn: decoding snapshot: %w", err)
+	}
+	if got, want := m.Sizes(), a.online.Sizes(); !slices.Equal(got, want) {
+		return nil, fmt.Errorf("ddqn: snapshot layers %v, agent has %v", got, want)
+	}
+	return m, nil
 }
 
 // TD computes the current TD error magnitude for a transition (useful in

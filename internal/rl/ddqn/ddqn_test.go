@@ -1,6 +1,7 @@
 package ddqn
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -180,6 +181,31 @@ func TestEncodeRestoreRoundTrip(t *testing.T) {
 	}
 	if err := b.RestoreFrom([]byte("junk")); err == nil {
 		t.Fatal("junk restored")
+	}
+}
+
+func TestValidateSnapshotChecksShapeWithoutMutating(t *testing.T) {
+	a := New(Config{ObsDim: 3, Actions: 5}, 9, nil)
+	before, _ := a.Encode()
+	good, _ := New(Config{ObsDim: 3, Actions: 5}, 10, nil).Encode()
+	if err := a.ValidateSnapshot(good); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	wide, _ := New(Config{ObsDim: 4, Actions: 5}, 10, nil).Encode()
+	for name, bad := range map[string][]byte{
+		"truncated":  good[:len(good)/2],
+		"other-arch": wide,
+	} {
+		if err := a.ValidateSnapshot(bad); err == nil {
+			t.Fatalf("%s snapshot validated", name)
+		}
+		if err := a.RestoreFrom(bad); err == nil {
+			t.Fatalf("%s snapshot restored", name)
+		}
+	}
+	after, _ := a.Encode()
+	if !bytes.Equal(before, after) {
+		t.Fatal("validation or failed restores mutated weights")
 	}
 }
 
