@@ -14,17 +14,18 @@
 //
 // -scenario skips the paper catalog and instead executes one declarative
 // scenario document (the same JSON petsim and petd accept), rendering the
-// run as a metric/value table. -seed and -shards still override the
-// document when set explicitly, and -quick shrinks its measurement windows.
+// run as a metric/value table. Every scenario flag set explicitly (-topo,
+// -spines, -leaves, -hosts, -seed, -shards) overrides the document's field,
+// and -quick shrinks its measurement windows.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,19 +40,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("petbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exps      = fs.String("exp", "all", "comma-separated experiments or 'all'")
-		scenarioF = fs.String("scenario", "", "run one scenario document (JSON) instead of the experiment catalog")
-		topoF     = fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|"))
-		spines    = fs.Int("spines", 0, "override the preset's spine count")
-		leaves    = fs.Int("leaves", 0, "override the preset's leaf count")
-		hosts     = fs.Int("hosts", 0, "override the preset's hosts per leaf")
-		shards    = fs.Int("shards", 1, "event-loop shards per simulation (0 = one per CPU, 1 = single loop)")
-		seed      = fs.Int64("seed", 1, "root random seed")
-		seeds     = fs.Int("seeds", 1, "independent seeds averaged per result cell")
-		loads     = fs.String("loads", "0.3,0.5,0.7", "comma-separated offered loads")
-		quick     = fs.Bool("quick", false, "shrink training and measurement windows")
-		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
+		exps   = fs.String("exp", "all", "comma-separated experiments or 'all'")
+		seeds  = fs.Int("seeds", 1, "independent seeds averaged per result cell")
+		loads  = fs.String("loads", "0.3,0.5,0.7", "comma-separated offered loads")
+		quick  = fs.Bool("quick", false, "shrink training and measurement windows")
+		csvDir = fs.String("csv", "", "also write each table as CSV into this directory")
 	)
+	var sf pet.ScenarioFlags
+	sf.Register(fs, "scenario", "topo", "spines", "leaves", "hosts", "shards", "seed")
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
 	var info pet.InfoFlags
@@ -81,49 +77,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer tf.Stop()
 
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
+	spec, err := sf.Spec()
+	if err != nil {
+		return fatalf(2, "%v", err)
+	}
+	if *quick {
+		warmup, duration := pet.SimDuration(5*pet.Millisecond), pet.SimDuration(15*pet.Millisecond)
+		spec.Warmup, spec.Duration = &warmup, &duration
+	}
+	s, err := spec.ToScenario()
+	if err != nil {
+		return fatalf(2, "%v", err)
 	}
 
-	if *scenarioF != "" {
-		visited := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-		spec, err := pet.LoadScenarioFile(*scenarioF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		s, err := spec.ToScenario()
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		if visited["seed"] {
-			s.Seed = *seed
-		}
-		if visited["shards"] {
-			s.Shards = *shards
-		}
-		if *quick {
-			s.Warmup = 5 * pet.Millisecond
-			s.ExplicitWarmup = true
-			s.Duration = 15 * pet.Millisecond
-		}
+	if sf.File != "" {
 		s.Telemetry = tf.Registry
-		title := spec.Name
-		if title == "" {
-			title = *scenarioF
-		}
+		title := cmp.Or(spec.Name, sf.File)
 		start := time.Now()
 		res, err := pet.Run(s)
 		if err != nil {
 			return fatalf(1, "%v", err)
 		}
 		tb := pet.ResultTable(title, res)
-		tb.Note("scenario %s, simulated %v in %v wall clock", *scenarioF,
+		tb.Note("scenario %s, simulated %v in %v wall clock", sf.File,
 			time.Duration((s.Warmup+s.Duration)/pet.Nanosecond)*time.Nanosecond,
 			time.Since(start).Round(time.Millisecond))
 		fmt.Fprintln(stdout, tb)
 		if *csvDir != "" {
-			base := strings.TrimSuffix(filepath.Base(*scenarioF), filepath.Ext(*scenarioF))
+			base := strings.TrimSuffix(filepath.Base(sf.File), filepath.Ext(sf.File))
 			path := filepath.Join(*csvDir, base+".csv")
 			if err := os.WriteFile(path, []byte(tb.CSV()), 0o644); err != nil {
 				return fatalf(1, "%v", err)
@@ -133,30 +114,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	r := pet.NewRunner()
-	r.Seed = *seed
+	r.Topo, r.Seed, r.Shards = s.Topo, s.Seed, s.Shards
 	r.Seeds = *seeds
 	r.Telemetry = tf.Registry
-	topoCfg, err := pet.TopoPreset(*topoF)
-	if err != nil {
-		return fatalf(2, "%v", err)
-	}
-	if *spines > 0 {
-		topoCfg.Spines = *spines
-	}
-	if *leaves > 0 {
-		topoCfg.Leaves = *leaves
-	}
-	if *hosts > 0 {
-		topoCfg.HostsPerLeaf = *hosts
-	}
-	if err := topoCfg.Validate(); err != nil {
-		return fatalf(2, "%v", err)
-	}
-	r.Topo = topoCfg
-	if topoCfg.Leaves*topoCfg.HostsPerLeaf >= 100 {
+	if r.Topo.Leaves*r.Topo.HostsPerLeaf >= 100 {
 		fmt.Fprintln(stderr, "note: large fabric; expect long runtimes")
 	}
-	r.Shards = *shards
 	r.Loads = nil
 	for _, s := range strings.Split(*loads, ",") {
 		var l float64

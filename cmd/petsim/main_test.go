@@ -58,6 +58,19 @@ func TestUnknownTransportExitsNonZero(t *testing.T) {
 	}
 }
 
+// An out-of-range flag is rejected by the same check a document field gets:
+// exit 2 naming the field, never a panic inside the workload generator.
+func TestOutOfRangeLoadExits2(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-load", "1.5", "-warmup", "1ms", "-duration", "1ms"}, &out, &errb)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), "load: 1.5 out of range") {
+		t.Fatalf("stderr %q does not name load", errb.String())
+	}
+}
+
 // TestShortRunPrintsStats drives a tiny real simulation through the CLI
 // entry point end to end.
 func TestShortRunPrintsStats(t *testing.T) {

@@ -61,7 +61,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -76,13 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pettrain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scenarioF = fs.String("scenario", "", "load a scenario document (JSON); explicitly-set flags override its fields")
-		topoF     = fs.String("topo", "tiny", "fabric preset: "+strings.Join(pet.TopoPresets(), "|"))
-		shards    = fs.Int("shards", 1, "event-loop shards per episode engine (0 = one per CPU, 1 = single loop)")
-		wlF       = fs.String("workload", "websearch", "registered workload name: "+strings.Join(pet.WorkloadNames(), "|"))
-		load      = fs.Float64("load", 0.6, "offered training load")
-		dur       = fs.Duration("duration", 100*time.Millisecond, "simulated training time per episode")
-		seed      = fs.Int64("seed", 1, "root random seed")
 		out       = fs.String("out", "pet.model", "output model bundle path")
 		workers   = fs.Int("workers", 1, "parallel rollout workers (0 = all cores)")
 		rounds    = fs.Int("rounds", 1, "synchronized merge rounds")
@@ -95,6 +87,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceCSV  = fs.String("tracecsv", "", "write per-round telemetry as CSV to this file")
 		quiet     = fs.Bool("q", false, "suppress per-round progress on stderr")
 	)
+	var sf pet.ScenarioFlags
+	sf.Register(fs, "scenario", "topo", "shards", "workload", "load", "duration", "seed")
+	// Here -duration is one training episode, 100ms unless set.
+	episodeF := fs.Lookup("duration")
+	episodeF.Usage, episodeF.DefValue = "simulated training time per episode", "100ms"
+	_ = episodeF.Value.Set(episodeF.DefValue) // a valid duration literal
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
 	var info pet.InfoFlags
@@ -111,61 +109,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	// With -scenario the document is the base configuration and only flags
-	// the user explicitly set override it; without, every flag applies.
-	visited := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { visited[f.Name] = true })
-	set := func(name string) bool { return *scenarioF == "" || visited[name] }
-
-	var s pet.Scenario
-	episode := pet.Time(dur.Nanoseconds()) * pet.Nanosecond
-	if *scenarioF != "" {
-		spec, err := pet.LoadScenarioFile(*scenarioF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		if s, err = spec.ToScenario(); err != nil {
-			return fatalf(2, "%v", err)
-		}
-		// The document's measurement window doubles as the per-episode
-		// training time unless -duration overrides it.
-		if s.Duration > 0 && !visited["duration"] {
-			episode = s.Duration
-		}
-	} else {
-		s.IncastFraction = 0.2
-		s.IncastFanIn = 3
+	spec, err := sf.Spec()
+	if err != nil {
+		return fatalf(2, "%v", err)
 	}
-	if set("seed") {
-		s.Seed = *seed
+	s, err := spec.ToScenario()
+	if err != nil {
+		return fatalf(2, "%v", err)
 	}
-	if set("load") {
-		s.Load = *load
-		s.ExplicitLoad = true
-	}
-	if set("topo") {
-		topoCfg, err := pet.TopoPreset(*topoF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		s.Topo = topoCfg
-	}
-	if *shards == 0 {
-		*shards = runtime.NumCPU()
-	}
-	if set("shards") {
-		s.Shards = *shards
-	}
-	if set("workload") {
-		wl, err := pet.WorkloadByName(*wlF)
-		if err != nil {
-			return fatalf(2, "%v", err)
-		}
-		s.Workload = wl
-		if !s.ExplicitBetas {
-			s.Beta1, s.Beta2 = pet.DefaultBetas(wl)
-			s.ExplicitBetas = true
-		}
+	// The measurement window is the per-episode training time; a document
+	// without one trains for the default 100ms.
+	episode := s.Duration
+	if episode == 0 {
+		episode = 100 * pet.Millisecond
 	}
 
 	if *workers == 0 {
@@ -250,9 +206,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatalf(1, "tracecsv: %v", err)
 		}
 	}
-	envLabel := *topoF + "/" + *wlF
-	if *scenarioF != "" {
-		envLabel = "scenario " + *scenarioF
+	envLabel := "scenario " + sf.File
+	if sf.File == "" {
+		envLabel = spec.Topo.Preset + "/" + spec.Workload.Name
 	}
 	episodes := (res.Rounds - res.ResumedFrom) * cfg.Workers
 	fmt.Fprintf(stderr, "trained %s: %d rounds (%d episodes of %v simulated time) in %v wall clock\n",

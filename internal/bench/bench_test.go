@@ -163,25 +163,23 @@ func TestPretrainedModelsLoadable(t *testing.T) {
 }
 
 func TestEventsFire(t *testing.T) {
-	fired := false
-	_, err := bench.Run(bench.Scenario{
+	load := 0.3
+	env, err := bench.NewEnv(bench.Scenario{
 		Scheme:   bench.SchemeSECN1,
-		Load:     0.3,
+		Load:     load,
 		Warmup:   2 * sim.Millisecond,
 		Duration: 6 * sim.Millisecond,
-		Events: []bench.Event{{
-			At: 4 * sim.Millisecond,
-			Do: func(e *bench.Env) {
-				fired = true
-				e.Gen.SetWorkload(workload.DataMining(), 0.3)
-			},
+		Events: []bench.EventSpec{{
+			At:   bench.SimDuration(4 * sim.Millisecond),
+			Kind: "workload-switch", Workload: "datamining", Load: &load,
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fired {
-		t.Fatal("event did not fire")
+	env.Run()
+	if got := env.Gen.Config().CDF.Name(); got != "DataMining" {
+		t.Fatalf("workload after the run = %s, want DataMining: event did not fire", got)
 	}
 }
 
@@ -192,13 +190,9 @@ func TestLinkFailureEventDisruptsAndRecovers(t *testing.T) {
 		Warmup:       2 * sim.Millisecond,
 		Duration:     20 * sim.Millisecond,
 		SeriesWindow: 2 * sim.Millisecond,
-		Events: []bench.Event{
-			{At: 6 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.Net.SetLinksUp(bench.PickFabricLinks(e, 0.3), false)
-			}},
-			{At: 12 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.Net.SetLinksUp(bench.PickFabricLinks(e, 0.3), true)
-			}},
+		Events: []bench.EventSpec{
+			{At: bench.SimDuration(6 * sim.Millisecond), Kind: "link-down", Fraction: 0.3},
+			{At: bench.SimDuration(12 * sim.Millisecond), Kind: "link-up", Fraction: 0.3},
 		},
 	})
 	if err != nil {

@@ -9,19 +9,15 @@ import (
 	"pet/internal/workload"
 )
 
-// This file turns scheduled perturbations into data. Historically an Event
-// was an opaque `Do func(*Env)` closure, so every perturbation had to be
-// compiled in; EventSpec is the declarative form scenario specs carry, and a
-// name-keyed registry of event kinds — mirroring the scheme/transport
-// registries — compiles each spec into the closure the engine schedules.
-// The Go-struct API is unchanged: Scenario.Events still holds []Event, and
-// hand-written closures remain first-class; EventSpec.Compile is the adapter
-// from data to that form.
+// This file holds scheduled perturbations as data. Scenario.Events is a list
+// of EventSpecs, and a name-keyed registry of event kinds — mirroring the
+// scheme/transport registries — compiles each spec into the hook NewEnv
+// schedules.
 
-// EventSpec is the declarative form of one scheduled perturbation. At and
-// Kind are universal; the remaining fields parameterize specific kinds and
-// are validated by the kind's registered builder (a field foreign to the
-// kind is rejected, so a typo cannot silently no-op).
+// EventSpec is one scheduled perturbation. At and Kind are universal; the
+// remaining fields parameterize specific kinds and are validated by the
+// kind's registered builder (a field foreign to the kind is rejected, so a
+// typo cannot silently no-op).
 type EventSpec struct {
 	// At is the absolute simulation time the perturbation fires, as a Go
 	// duration string ("40ms"). Warmup is simulation time too, so events
@@ -56,9 +52,9 @@ type EventSpec struct {
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 }
 
-// EventBuilder validates an EventSpec of its kind and returns the closure to
-// schedule. Validation errors must describe the offending field; Compile
-// wraps them with the event's position.
+// EventBuilder validates an EventSpec of its kind and returns the hook to
+// run at ev.At. Validation errors must describe the offending field; NewEnv
+// and ToScenario add the event's position.
 type EventBuilder func(ev EventSpec) (func(*Env), error)
 
 var eventKinds registry.Map[string, EventBuilder]
@@ -79,38 +75,17 @@ func (e *UnknownEventKindError) Error() string {
 	return fmt.Sprintf("bench: unknown event kind %q (registered: %v)", e.Kind, EventKindNames())
 }
 
-// Compile resolves the spec against the event-kind registry and returns the
-// schedulable Event — the adapter from the data form to the closure form.
-func (ev EventSpec) Compile() (Event, error) {
+// compile resolves the spec against the event-kind registry and returns the
+// hook to run at ev.At.
+func (ev EventSpec) compile() (func(*Env), error) {
 	build, ok := eventKinds.Lookup(ev.Kind)
 	if !ok {
-		return Event{}, &UnknownEventKindError{Kind: ev.Kind}
+		return nil, &UnknownEventKindError{Kind: ev.Kind}
 	}
 	if ev.At < 0 {
-		return Event{}, fmt.Errorf("at %v is negative", ev.At)
+		return nil, fmt.Errorf("at %v is negative", ev.At)
 	}
-	do, err := build(ev)
-	if err != nil {
-		return Event{}, err
-	}
-	return Event{At: ev.At.Time(), Do: do}, nil
-}
-
-// CompileEvents compiles a spec's event list in order. The returned error
-// names the offending index.
-func CompileEvents(evs []EventSpec) ([]Event, error) {
-	if len(evs) == 0 {
-		return nil, nil
-	}
-	out := make([]Event, len(evs))
-	for i, ev := range evs {
-		compiled, err := ev.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("events[%d]: %w", i, err)
-		}
-		out[i] = compiled
-	}
-	return out, nil
+	return build(ev)
 }
 
 // requireZero rejects parameter fields foreign to the kind, so a spec that
@@ -145,15 +120,12 @@ func (ev EventSpec) requireZero(fields ...string) error {
 // linkSet resolves the deterministic switch-link selection of a link event:
 // the first Links (or ceil(Fraction·N), minimum 1) links in fabric order.
 func (ev EventSpec) linkSet(e *Env) []topo.LinkID {
-	if ev.Links > 0 {
-		all := e.Net.Graph().SwitchLinks()
-		n := ev.Links
-		if n > len(all) {
-			n = len(all)
-		}
-		return all[:n]
+	all := e.Net.Graph().SwitchLinks()
+	n := ev.Links
+	if n == 0 {
+		n = max(1, int(float64(len(all))*ev.Fraction+0.999))
 	}
-	return pickFabricLinks(e, ev.Fraction)
+	return all[:min(n, len(all))]
 }
 
 func buildLinkEvent(up bool) EventBuilder {

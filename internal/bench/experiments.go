@@ -76,7 +76,7 @@ func NewRunner() *Runner {
 
 // scenario builds the canonical scenario for one (scheme, workload, load).
 func (r *Runner) scenario(scheme Scheme, wl *workload.CDF, load float64) (Scenario, error) {
-	b1, b2 := DefaultBetas(wl)
+	b1, b2 := defaultBetas(wl)
 	s := Scenario{
 		Topo:           r.Topo,
 		Seed:           r.Seed,
@@ -116,7 +116,7 @@ func (r *Runner) pretrained(scheme Scheme, wl *workload.CDF) ([]byte, error) {
 	if m, ok := r.petModels[key]; ok {
 		return m, nil
 	}
-	b1, b2 := DefaultBetas(wl)
+	b1, b2 := defaultBetas(wl)
 	r.progress("pretrain %s on %s (%v)", scheme, wl.Name(), r.TrainTime)
 	m, err := PretrainPET(Scenario{
 		Topo:           r.Topo,

@@ -5,14 +5,9 @@ package bench
 // (importing those packages from an in-package test would cycle); this shim
 // exposes the unexported pieces they exercise.
 
-import (
-	"pet/internal/topo"
-	"pet/internal/workload"
-)
+import "pet/internal/workload"
 
 var MergeResults = mergeResults
-
-func PickFabricLinks(e *Env, frac float64) []topo.LinkID { return pickFabricLinks(e, frac) }
 
 func (s Scenario) WithDefaults() Scenario { return s.withDefaults() }
 

@@ -5,12 +5,6 @@ import (
 	"pet/internal/workload"
 )
 
-// This file is the shared name → configuration plumbing the CLIs and the
-// petd experiment API select fabrics and workloads with, so "tiny",
-// "websearch" etc. mean the same thing everywhere. Both lookups delegate to
-// their registries (topo presets, the named workload registry), so the
-// accepted names can never drift from what is actually registered.
-
 // TopoByName returns the fabric preset registered under name ("tiny",
 // "small", "medium", "paper"); an empty name defaults to "tiny". Unknown
 // names yield a *topo.UnknownPresetError.
@@ -21,19 +15,9 @@ func TopoByName(name string) (topo.LeafSpineConfig, error) {
 	return topo.Preset(name)
 }
 
-// WorkloadByName returns the flow-size distribution registered under name;
-// an empty name defaults to "websearch". Unknown names yield a
-// *workload.UnknownWorkloadError.
-func WorkloadByName(name string) (*workload.CDF, error) {
-	if name == "" {
-		name = "websearch"
-	}
-	return workload.ByName(name)
-}
-
-// DefaultBetas returns the paper's per-workload reward weights (Sec. 5.2):
+// defaultBetas returns the paper's per-workload reward weights (Sec. 5.2):
 // (0.3, 0.7) for Web Search, (0.7, 0.3) for Data Mining.
-func DefaultBetas(wl *workload.CDF) (b1, b2 float64) {
+func defaultBetas(wl *workload.CDF) (b1, b2 float64) {
 	if wl != nil && wl.Name() == "DataMining" {
 		return 0.7, 0.3
 	}

@@ -136,21 +136,6 @@ func SchemeNames() []Scheme { return schemes.Names() }
 // TransportNames lists every registered transport, sorted.
 func TransportNames() []TransportKind { return transports.Names() }
 
-// ValidateScheme checks that a scheme name is registered, returning an
-// *UnknownSchemeError when it is not — the eager form of the check Run
-// performs at assembly, for callers (the petd lifecycle API) that want a
-// bad name to fail fast rather than asynchronously.
-func ValidateScheme(name Scheme) error {
-	_, err := schemeBuilder(name)
-	return err
-}
-
-// ValidateTransport is ValidateScheme for end-host transport names.
-func ValidateTransport(name TransportKind) error {
-	_, err := transportBuilder(name)
-	return err
-}
-
 func schemeBuilder(name Scheme) (SchemeBuilder, error) {
 	b, ok := schemes.Lookup(name)
 	if !ok {

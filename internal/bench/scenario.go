@@ -59,12 +59,6 @@ func ComparedSchemes() []Scheme {
 	return []Scheme{SchemePET, SchemeACC, SchemeSECN1, SchemeSECN2}
 }
 
-// Event is a scheduled perturbation (traffic switch, link failure, …).
-type Event struct {
-	At sim.Time
-	Do func(*Env)
-}
-
 // Scenario fully describes one simulation run.
 type Scenario struct {
 	Topo topo.LeafSpineConfig
@@ -112,7 +106,9 @@ type Scenario struct {
 	// HistoryK overrides PET's state history depth (ablation); 0 = default.
 	HistoryK int
 
-	Events []Event
+	// Events are the scheduled perturbations (traffic switch, link failure,
+	// …); NewEnv compiles them against the event-kind registry.
+	Events []EventSpec
 
 	// SeriesWindow, when nonzero, enables FCT time-series collection.
 	SeriesWindow sim.Time
@@ -218,6 +214,7 @@ type Env struct {
 	QueueKB   *stats.Welford // sampled per-port queue occupancy, KB
 	Series    map[string]*stats.TimeSeries
 	Trace     *trace.Recorder // nil unless Scenario.Trace
+	events    []func(*Env)    // Scenario.Events compiled, one hook per spec
 	measuring bool
 	flowMeta  map[netsim.FlowID]workload.FlowMeta
 	hostRate  float64
@@ -254,6 +251,12 @@ func NewEnv(s Scenario) (*Env, error) {
 	buildScheme, err := schemeBuilder(s.Scheme)
 	if err != nil {
 		return nil, err
+	}
+	events := make([]func(*Env), len(s.Events))
+	for i, ev := range s.Events {
+		if events[i], err = ev.compile(); err != nil {
+			return nil, fmt.Errorf("bench: events[%d]: %w", i, err)
+		}
 	}
 
 	if err := s.Topo.Validate(); err != nil {
@@ -293,6 +296,7 @@ func NewEnv(s Scenario) (*Env, error) {
 		Latency:   &stats.Sample{},
 		QueueKB:   &stats.Welford{},
 		Series:    map[string]*stats.TimeSeries{},
+		events:    events,
 		flowMeta:  map[netsim.FlowID]workload.FlowMeta{},
 		hostRate:  s.Topo.HostLinkBps,
 	}
@@ -415,14 +419,14 @@ func (e *Env) RunContext(ctx context.Context) (Result, error) {
 		ctx = context.Background()
 	}
 	s := e.Scenario
-	for _, ev := range s.Events {
-		ev := ev
-		e.Eng.At(ev.At, func() { ev.Do(e) })
+	for i, ev := range s.Events {
+		do, at := e.events[i], ev.At.Time()
+		e.Eng.At(at, func() { do(e) })
 		if e.Sharded != nil {
 			// Perturbations read and write cross-lane state (link flips,
 			// routing recomputes), so each event instant becomes a one-off
 			// global barrier and the hook runs in the serial merge.
-			e.Sharded.AddBarrier(ev.At)
+			e.Sharded.AddBarrier(at)
 		}
 	}
 	// Queue sampling at a fine cadence, mirroring the paper's Table I.

@@ -26,13 +26,9 @@ func shardScenario(shards int) bench.Scenario {
 		Duration: 4 * sim.Millisecond,
 		Trace:    true,
 		Shards:   shards,
-		Events: []bench.Event{
-			{At: 3 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, false)
-			}},
-			{At: 4 * sim.Millisecond, Do: func(e *bench.Env) {
-				e.SetLinksUp([]topo.LinkID{e.LS.Graph.Links[0].ID}, true)
-			}},
+		Events: []bench.EventSpec{
+			{At: bench.SimDuration(3 * sim.Millisecond), Kind: "link-down", Links: 1},
+			{At: bench.SimDuration(4 * sim.Millisecond), Kind: "link-up", Links: 1},
 		},
 	}
 }

@@ -76,6 +76,13 @@ func (d *SimDuration) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("want a duration string like \"20ms\"")
 	}
+	return d.Set(s)
+}
+
+// Set parses a Go duration string, rejecting negative ones. It is the one
+// duration parser: documents, petd's job fields and the promotion gate all
+// read durations through it.
+func (d *SimDuration) Set(s string) error {
 	dur, err := time.ParseDuration(s)
 	if err != nil {
 		return fmt.Errorf("bad duration %q", s)
@@ -211,8 +218,8 @@ type ScenarioSpec struct {
 	Transport string `json:"transport,omitempty"`
 
 	// Betas holds the reward weights [β1, β2]; present means explicit (an
-	// explicit [0,0] reaches the axes), absent picks the per-workload paper
-	// defaults (DefaultBetas).
+	// explicit [0,0] reaches the axes), absent picks the paper defaults of
+	// the document's workload.
 	Betas *[2]float64 `json:"betas,omitempty"`
 
 	Train              bool `json:"train,omitempty"`
@@ -292,7 +299,7 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 		s.Load = l
 		s.ExplicitLoad = true
 	}
-	if sp.IncastFraction < 0 || sp.IncastFraction > 1 {
+	if sp.IncastFraction < 0 || sp.IncastFraction > 1 || math.IsNaN(sp.IncastFraction) {
 		return s, specErr("incast_fraction", "%g out of range [0,1]", sp.IncastFraction)
 	}
 	s.IncastFraction = sp.IncastFraction
@@ -302,43 +309,45 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	s.IncastFanIn = sp.IncastFanIn
 
 	if sp.Scheme != "" {
-		if err := ValidateScheme(Scheme(sp.Scheme)); err != nil {
+		if _, err := schemeBuilder(Scheme(sp.Scheme)); err != nil {
 			return s, specWrap("scheme", err)
 		}
 		s.Scheme = Scheme(sp.Scheme)
 	}
 	if sp.Transport != "" {
-		if err := ValidateTransport(TransportKind(sp.Transport)); err != nil {
+		if _, err := transportBuilder(TransportKind(sp.Transport)); err != nil {
 			return s, specWrap("transport", err)
 		}
 		s.Transport = TransportKind(sp.Transport)
 	}
 
-	if sp.Betas != nil {
-		b := *sp.Betas
+	// Absent betas take the paper defaults of the final workload (a nil
+	// workload is the WebSearch default).
+	s.Beta1, s.Beta2 = defaultBetas(s.Workload)
+	if b := sp.Betas; b != nil {
 		for i, v := range b {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return s, specErr(fmt.Sprintf("betas[%d]", i), "%g out of range [0,1]", v)
 			}
 		}
 		s.Beta1, s.Beta2 = b[0], b[1]
-		s.ExplicitBetas = true
-	} else {
-		// Absent betas take the per-workload paper defaults — the same rule
-		// the CLIs and petd apply (s.Workload may be nil: DefaultBetas then
-		// picks the WebSearch weights, matching the workload default).
-		s.Beta1, s.Beta2 = DefaultBetas(s.Workload)
-		s.ExplicitBetas = true
 	}
+	s.ExplicitBetas = true
 
 	s.Train = sp.Train
 	s.TrainDuringMeasure = sp.TrainDuringMeasure
 
 	if sp.Warmup != nil {
+		if *sp.Warmup < 0 {
+			return s, specErr("warmup", "negative duration %v", *sp.Warmup)
+		}
 		s.Warmup = sp.Warmup.Time()
 		s.ExplicitWarmup = true
 	}
 	if sp.Duration != nil {
+		if *sp.Duration < 0 {
+			return s, specErr("duration", "negative duration %v", *sp.Duration)
+		}
 		s.Duration = sp.Duration.Time()
 	}
 
@@ -353,8 +362,7 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	s.Shards = sp.Shards
 
 	for i, ev := range sp.Events {
-		compiled, err := ev.Compile()
-		if err != nil {
+		if _, err := ev.compile(); err != nil {
 			path := fmt.Sprintf("events[%d]", i)
 			var unknown *UnknownEventKindError
 			if errors.As(err, &unknown) {
@@ -362,7 +370,7 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 			}
 			return s, specWrap(path, err)
 		}
-		s.Events = append(s.Events, compiled)
 	}
+	s.Events = sp.Events
 	return s, nil
 }

@@ -12,6 +12,7 @@ import (
 	"pet/internal/bench"
 	"pet/internal/sim"
 	"pet/internal/topo"
+	"pet/internal/trace"
 	"pet/internal/workload"
 )
 
@@ -312,16 +313,10 @@ func TestSpecRunMatchesHandBuiltWithEvents(t *testing.T) {
 		Beta1:  0.3, Beta2: 0.7, ExplicitBetas: true,
 		Warmup: 200 * sim.Microsecond, ExplicitWarmup: true,
 		Duration: 800 * sim.Microsecond,
-		Events: []bench.Event{
-			{At: 300 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.SetLinksUp(bench.PickFabricLinks(e, 0.5), false)
-			}},
-			{At: 500 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.Gen.SetWorkload(e.Gen.Config().CDF, 0.2)
-			}},
-			{At: 700 * sim.Microsecond, Do: func(e *bench.Env) {
-				e.Gen.Burst(2, 3, 32768)
-			}},
+		Events: []bench.EventSpec{
+			{At: bench.SimDuration(300 * sim.Microsecond), Kind: "link-down", Fraction: 0.5},
+			{At: bench.SimDuration(500 * sim.Microsecond), Kind: "load-change", Load: f64Ptr(0.2)},
+			{At: bench.SimDuration(700 * sim.Microsecond), Kind: "incast-burst", Groups: 2, FanIn: 3, ChunkBytes: 32768},
 		},
 	})
 }
@@ -470,41 +465,40 @@ func TestEventKindNames(t *testing.T) {
 }
 
 func TestCompileEventsNamesIndex(t *testing.T) {
-	_, err := bench.CompileEvents([]bench.EventSpec{
+	_, err := bench.NewEnv(bench.Scenario{Events: []bench.EventSpec{
 		{At: bench.SimDuration(sim.Millisecond), Kind: "load-change", Load: f64Ptr(0.5)},
 		{At: bench.SimDuration(sim.Millisecond), Kind: "nope"},
-	})
+	}})
 	if err == nil || !strings.Contains(err.Error(), "events[1]") {
 		t.Fatalf("error %v does not name events[1]", err)
 	}
 }
 
 // Deterministic link selection: link-up restores exactly what link-down
-// failed, so a down/up pair leaves the fabric fully connected.
+// failed, so the trace shows one link set going down and the same set coming
+// back up, and the fabric ends fully connected.
 func TestLinkEventSelectionDeterministic(t *testing.T) {
-	down, err := (bench.EventSpec{At: 0, Kind: "link-down", Fraction: 0.5}).Compile()
-	if err != nil {
-		t.Fatalf("compile down: %v", err)
-	}
-	up, err := (bench.EventSpec{At: 0, Kind: "link-up", Fraction: 0.5}).Compile()
-	if err != nil {
-		t.Fatalf("compile up: %v", err)
-	}
-	env, err := bench.NewEnv(bench.Scenario{Topo: topo.SmallScale(), Duration: sim.Millisecond})
+	env, err := bench.NewEnv(bench.Scenario{
+		Topo:     topo.SmallScale(),
+		Warmup:   sim.Millisecond,
+		Duration: sim.Millisecond,
+		Trace:    true,
+		Events: []bench.EventSpec{
+			{At: bench.SimDuration(500 * sim.Microsecond), Kind: "link-down", Fraction: 0.5},
+			{At: bench.SimDuration(1500 * sim.Microsecond), Kind: "link-up", Fraction: 0.5},
+		},
+	})
 	if err != nil {
 		t.Fatalf("NewEnv: %v", err)
 	}
-	picked := bench.PickFabricLinks(env, 0.5)
-	if len(picked) == 0 {
-		t.Fatal("no links picked")
+	env.Run()
+	changed := map[string][]string{} // "up" value → links, in trace order
+	for _, ev := range env.Trace.Filter(trace.LinkChange) {
+		changed[ev.Fields[1].Value] = append(changed[ev.Fields[1].Value], ev.Fields[0].Value)
 	}
-	down.Do(env)
-	for _, l := range picked {
-		if env.Net.Graph().Link(l).Up {
-			t.Fatalf("link %v still up after link-down", l)
-		}
+	if down, up := changed["false"], changed["true"]; len(down) == 0 || !reflect.DeepEqual(down, up) {
+		t.Fatalf("links down %v, back up %v", down, up)
 	}
-	up.Do(env)
 	for _, l := range env.Net.Graph().SwitchLinks() {
 		if !env.Net.Graph().Link(l).Up {
 			t.Fatalf("link %v down after link-up restored the failed set", l)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"time"
 )
 
 // This file is the strict shape check behind DecodeScenarioSpec: the parsed
@@ -47,12 +46,9 @@ func checkSpecTree(v any, t reflect.Type, path string) error {
 		if !ok {
 			return specErr(rootedPath(path), "want a duration string like \"20ms\"")
 		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return specErr(rootedPath(path), "bad duration %q", s)
-		}
-		if d < 0 {
-			return specErr(rootedPath(path), "negative duration %q", s)
+		var d SimDuration
+		if err := d.Set(s); err != nil {
+			return specWrap(rootedPath(path), err)
 		}
 		return nil
 	}

@@ -130,33 +130,16 @@ func (e *GateError) Error() string {
 	return fmt.Sprintf("serve: promotion gate rejected the candidate: %s", strings.Join(e.Report.Reasons, "; "))
 }
 
-// shadowScenario assembles the fixed replay: training off, the bundle
-// under test installed, everything else pinned by the config.
+// shadowScenario assembles the fixed replay: the config's scenario fields
+// read as a run job with training off, and the bundle under test installed.
 func (g GateConfig) shadowScenario(bundle []byte) (bench.Scenario, error) {
-	var s bench.Scenario
-	var err error
-	if s.Topo, err = bench.TopoByName(g.Topo); err != nil {
-		return s, err
-	}
-	if s.Workload, err = bench.WorkloadByName(g.Workload); err != nil {
-		return s, err
-	}
-	s.Beta1, s.Beta2 = bench.DefaultBetas(s.Workload)
-	s.Scheme = bench.Scheme(g.Scheme)
-	if err := bench.ValidateScheme(s.Scheme); err != nil {
-		return s, err
-	}
-	s.Seed = g.Seed
-	s.Load = g.Load
-	s.Train = false
+	train := false
+	s, err := ExperimentSpec{
+		Scheme: g.Scheme, Topo: g.Topo, Workload: g.Workload, Load: g.Load, Seed: g.Seed,
+		Train: &train, Warmup: g.Warmup, Duration: g.Duration,
+	}.scenario()
 	s.Models = bundle
-	if s.Warmup, err = parseSimDuration("gate warmup", g.Warmup); err != nil {
-		return s, err
-	}
-	if s.Duration, err = parseSimDuration("gate duration", g.Duration); err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, err
 }
 
 // shadowScore replays the gate scenario with one bundle and scores it.

@@ -194,11 +194,6 @@ func (m *Manager) Launch(spec ExperimentSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	// Assemble eagerly so an unknown scheme/transport/topo/workload fails
-	// the POST with a clear error instead of a job that dies asynchronously.
-	if _, _, _, err := spec.scenario(); err != nil {
-		return JobStatus{}, err
-	}
 
 	m.mu.Lock()
 	if m.closed {
@@ -304,7 +299,7 @@ func (m *Manager) adoptRecord(rj ReplayedJob, state JobState, errMsg string) {
 func (m *Manager) relaunch(rj ReplayedJob) {
 	spec := rj.Spec
 	spec.Resume = true
-	if _, _, _, err := spec.scenario(); err != nil {
+	if _, err := spec.scenario(); err != nil {
 		// The spec no longer assembles (e.g. a scheme this build dropped);
 		// surface that as a failure rather than refusing to boot.
 		m.logf("job %s: resume failed: %v", rj.ID, err)
@@ -390,7 +385,7 @@ func (m *Manager) execute(ctx context.Context, j *job) {
 
 // runScenario executes one measurement run.
 func (m *Manager) runScenario(ctx context.Context, j *job, spec ExperimentSpec) error {
-	s, _, _, err := spec.scenario()
+	s, err := spec.scenario()
 	if err != nil {
 		return err
 	}
@@ -413,11 +408,12 @@ func (m *Manager) runScenario(ctx context.Context, j *job, spec ExperimentSpec) 
 // in-flight episodes and checkpoints the last completed round (the fleet's
 // SIGINT machinery, driven here by the job context instead of a signal).
 func (m *Manager) runPretrain(ctx context.Context, j *job, spec ExperimentSpec) error {
-	s, _, episode, err := spec.scenario()
+	s, err := spec.scenario()
 	if err != nil {
 		return err
 	}
 	s.Telemetry = m.tele
+	episode := s.Duration
 	if episode == 0 {
 		episode = 100 * sim.Millisecond // pettrain's default episode length
 	}

@@ -149,6 +149,8 @@ func TestLaunchValidation(t *testing.T) {
 		{Topo: "galactic"},                 // unknown topo
 		{Workload: "llm"},                  // unknown workload
 		{Load: 1.5},                        // out of range
+		{IncastFraction: 2},                // out of range
+		{IncastFanIn: -1},                  // negative fan-in
 		{Duration: "banana"},               // unparseable duration
 		{Workers: 4},                       // fleet knob on a run job
 		{Kind: KindPretrain, Load: -0.25},  // bad load, pretrain kind

@@ -18,12 +18,11 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"pet/internal/bench"
-	"pet/internal/sim"
 )
 
 // ExperimentSpec is the wire format of POST /experiments: a declarative
@@ -78,21 +77,6 @@ const (
 	KindPretrain = "pretrain"
 )
 
-// parseSimDuration converts a Go duration string to simulated time.
-func parseSimDuration(field, s string) (sim.Time, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("serve: bad %s %q: %v", field, s, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("serve: negative %s %q", field, s)
-	}
-	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
-}
-
 // normalized validates the spec and fills defaults.
 func (sp ExperimentSpec) normalized() (ExperimentSpec, error) {
 	switch sp.Kind {
@@ -107,91 +91,68 @@ func (sp ExperimentSpec) normalized() (ExperimentSpec, error) {
 			return sp, fmt.Errorf("serve: fleet fields (workers/rounds/checkpoint/resume/out/publish) require kind %q", KindPretrain)
 		}
 	}
-	if sp.Load < 0 || sp.Load > 1 {
-		return sp, fmt.Errorf("serve: load %g out of range (0,1]", sp.Load)
-	}
 	if len(sp.Scenario) > 0 {
 		if sp.Scheme != "" || sp.Topo != "" || sp.Workload != "" || sp.Load != 0 ||
 			sp.IncastFraction != 0 || sp.IncastFanIn != 0 || sp.Seed != 0 || sp.Train != nil {
 			return sp, fmt.Errorf("serve: an embedded scenario document is mutually exclusive with the flat scenario fields (scheme/topo/workload/load/incast_*/seed/train)")
 		}
-		// Decode eagerly so a malformed document fails the launch with a
-		// path-naming 400 instead of failing the job asynchronously.
-		spec, err := bench.DecodeScenarioSpec(sp.Scenario)
-		if err != nil {
-			return sp, err
-		}
-		if _, err := spec.ToScenario(); err != nil {
-			return sp, err
-		}
-		return sp, nil
-	}
-	if sp.Scheme == "" {
+	} else if sp.Scheme == "" {
 		// The scenario default is the static SECN1 baseline; the daemon's
 		// reason to exist is the learned controller, so default like petsim.
 		sp.Scheme = string(bench.SchemePET)
 	}
-	return sp, nil
+	// Assemble eagerly so a bad name or value fails the launch with an error
+	// naming it instead of a job that dies asynchronously.
+	_, err := sp.scenario()
+	return sp, err
 }
 
-// scenario assembles the bench scenario a spec describes. The returned
-// durations are the parsed warmup and measurement/episode windows (zero
-// means "use the scenario default").
-func (sp ExperimentSpec) scenario() (s bench.Scenario, warmup, duration sim.Time, err error) {
+// scenario assembles the bench scenario a spec describes: the embedded
+// document, or else a document holding the flat fields, with the job-level
+// warmup and duration written over it. ToScenario validates the result.
+func (sp ExperimentSpec) scenario() (bench.Scenario, error) {
+	var doc *bench.ScenarioSpec
 	if len(sp.Scenario) > 0 {
-		spec, err := bench.DecodeScenarioSpec(sp.Scenario)
-		if err != nil {
-			return s, 0, 0, err
+		var err error
+		if doc, err = bench.DecodeScenarioSpec(sp.Scenario); err != nil {
+			return bench.Scenario{}, err
 		}
-		if s, err = spec.ToScenario(); err != nil {
-			return s, 0, 0, err
+	} else {
+		doc = &bench.ScenarioSpec{
+			Topo:           &bench.TopoSpec{Preset: sp.Topo},
+			Seed:           sp.Seed,
+			Workload:       &bench.WorkloadSpec{Name: cmp.Or(sp.Workload, "websearch")},
+			IncastFraction: sp.IncastFraction,
+			IncastFanIn:    sp.IncastFanIn,
+			Scheme:         sp.Scheme,
+			Transport:      sp.Transport,
+			Train:          sp.Train == nil || *sp.Train,
 		}
-		// Warmup/Duration stay job-level overrides on top of the document.
-		if warmup, err = parseSimDuration("warmup", sp.Warmup); err != nil {
-			return s, 0, 0, err
-		}
-		if duration, err = parseSimDuration("duration", sp.Duration); err != nil {
-			return s, 0, 0, err
-		}
-		if warmup > 0 {
-			s.Warmup = warmup
-		}
-		if duration > 0 {
-			s.Duration = duration
-		}
-		return s, s.Warmup, s.Duration, nil
-	}
-	s.Topo, err = bench.TopoByName(sp.Topo)
-	if err != nil {
-		return s, 0, 0, err
-	}
-	s.Workload, err = bench.WorkloadByName(sp.Workload)
-	if err != nil {
-		return s, 0, 0, err
-	}
-	s.Beta1, s.Beta2 = bench.DefaultBetas(s.Workload)
-	s.Scheme = bench.Scheme(sp.Scheme)
-	if err := bench.ValidateScheme(s.Scheme); err != nil {
-		return s, 0, 0, err
-	}
-	s.Transport = bench.TransportKind(sp.Transport)
-	if sp.Transport != "" { // empty takes the scenario default
-		if err := bench.ValidateTransport(s.Transport); err != nil {
-			return s, 0, 0, err
+		if sp.Load != 0 { // zero takes the scenario default
+			doc.Load = &sp.Load
 		}
 	}
-	s.Seed = sp.Seed
-	s.Load = sp.Load
-	s.IncastFraction = sp.IncastFraction
-	s.IncastFanIn = sp.IncastFanIn
-	s.Train = sp.Train == nil || *sp.Train
-	if warmup, err = parseSimDuration("warmup", sp.Warmup); err != nil {
-		return s, 0, 0, err
+	if err := setWindow(&doc.Warmup, "warmup", sp.Warmup); err != nil {
+		return bench.Scenario{}, err
 	}
-	if duration, err = parseSimDuration("duration", sp.Duration); err != nil {
-		return s, 0, 0, err
+	if err := setWindow(&doc.Duration, "duration", sp.Duration); err != nil {
+		return bench.Scenario{}, err
 	}
-	s.Warmup = warmup
-	s.Duration = duration
-	return s, warmup, duration, nil
+	return doc.ToScenario()
+}
+
+// setWindow writes a job-level warmup or duration over the document's; an
+// empty or zero value keeps the document's window (or the scenario default).
+func setWindow(dst **bench.SimDuration, field, value string) error {
+	if value == "" {
+		return nil
+	}
+	var d bench.SimDuration
+	if err := d.Set(value); err != nil {
+		return fmt.Errorf("serve: %s: %v", field, err)
+	}
+	if d > 0 {
+		*dst = &d
+	}
+	return nil
 }

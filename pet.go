@@ -42,7 +42,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"time"
 
 	_ "pet/internal/acc" // register the ACC baseline scheme
@@ -91,11 +93,6 @@ func SmallScale() topo.LeafSpineConfig { return topo.SmallScale() }
 // default benchmarks.
 func TinyScale() topo.LeafSpineConfig { return topo.TinyScale() }
 
-// TopoPreset resolves a named fabric preset ("tiny", "small", "medium",
-// "paper"). Unknown names yield a typed error listing the known presets —
-// the CLIs print it and exit 2 instead of panicking.
-func TopoPreset(name string) (topo.LeafSpineConfig, error) { return topo.Preset(name) }
-
 // TopoPresets lists the preset names, smallest fabric first.
 func TopoPresets() []string { return topo.Presets() }
 
@@ -134,18 +131,6 @@ func WebSearch() *workload.CDF { return workload.WebSearch() }
 // DataMining returns the VL2 data-mining flow-size distribution.
 func DataMining() *workload.CDF { return workload.DataMining() }
 
-// WorkloadByName resolves a registered workload name; unknown names yield a
-// typed error listing the registered ones.
-func WorkloadByName(name string) (*workload.CDF, error) { return workload.ByName(name) }
-
-// WorkloadNames lists every registered workload, sorted.
-func WorkloadNames() []string { return workload.Names() }
-
-// DefaultBetas returns the paper's per-workload reward weights: (0.3, 0.7)
-// for Web Search (latency-leaning), (0.7, 0.3) for Data Mining
-// (throughput-leaning).
-func DefaultBetas(wl *workload.CDF) (b1, b2 float64) { return bench.DefaultBetas(wl) }
-
 // PET — the paper's contribution.
 type (
 	// Controller is the PET multi-agent (DTDE) system over one network.
@@ -177,6 +162,9 @@ type (
 	// UnknownSchemeError reports an unregistered Scenario.Scheme
 	// (errors.As).
 	UnknownSchemeError = bench.UnknownSchemeError
+	// SimDuration is simulated time in a scenario document, written as a Go
+	// duration string ("20ms").
+	SimDuration = bench.SimDuration
 )
 
 // DecodeScenarioSpec parses a versioned scenario document strictly: unknown
@@ -184,15 +172,6 @@ type (
 // CLIs load documents via -scenario; petd accepts them embedded in POST
 // /experiments.
 func DecodeScenarioSpec(data []byte) (*bench.ScenarioSpec, error) {
-	return bench.DecodeScenarioSpec(data)
-}
-
-// LoadScenarioFile reads and decodes a scenario document from disk.
-func LoadScenarioFile(path string) (*bench.ScenarioSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	return bench.DecodeScenarioSpec(data)
 }
 
@@ -381,6 +360,171 @@ func (f *InfoFlags) Handle(stdout io.Writer) (done bool) {
 		}
 	}
 	return false
+}
+
+// ScenarioFlags is the shared scenario flag set of the CLIs (petsim,
+// pettrain, petbench) and their one path from command line to Scenario.
+// -scenario names the base document; without it the base is the CLI default
+// document: the tiny fabric, websearch at load 0.6 with a 0.2 incast share
+// of fan-in 3, seed 1, PET over dcqcn with training on, 20ms warmup plus
+// 60ms measurement, one shard. With -scenario each flag the user set
+// overwrites its document field; without it every registered flag does. The
+// CLI then calls ToScenario on the result, so a flag is validated exactly
+// like the document field it writes.
+type ScenarioFlags struct {
+	File string // the -scenario path; empty selects the default document
+
+	fs         *flag.FlagSet
+	registered map[string]bool
+
+	topo, workload, scheme, transport    string
+	spines, leaves, hosts, shards, fanIn int
+	seed                                 int64
+	load, incast                         float64
+	train                                bool
+	warmup, duration                     time.Duration
+}
+
+// scenarioFlagNames are the flags ScenarioFlags can install, in the order
+// they overwrite the document: -topo replaces the whole fabric before
+// -spines/-leaves/-hosts adjust it.
+var scenarioFlagNames = [...]string{"scenario", "seed", "topo", "spines", "leaves", "hosts", "shards",
+	"workload", "load", "incast", "fanin", "scheme", "transport", "train", "warmup", "duration"}
+
+// defaultScenarioSpec is the CLI default document.
+func defaultScenarioSpec() *bench.ScenarioSpec {
+	load := 0.6
+	warmup, duration := bench.SimDuration(20*sim.Millisecond), bench.SimDuration(60*sim.Millisecond)
+	return &bench.ScenarioSpec{
+		Topo:     &bench.TopoSpec{Preset: "tiny"},
+		Seed:     1,
+		Workload: &bench.WorkloadSpec{Name: "websearch"},
+		Load:     &load, IncastFraction: 0.2, IncastFanIn: 3,
+		Scheme: string(SchemePET), Transport: string(bench.TransportDCQCN), Train: true,
+		Warmup: &warmup, Duration: &duration, Shards: 1,
+	}
+}
+
+// Register installs the named flags — any of scenario, seed, topo, spines,
+// leaves, hosts, shards, workload, load, incast, fanin, scheme, transport,
+// train, warmup, duration — each defaulting to the default document's value.
+func (f *ScenarioFlags) Register(fs *flag.FlagSet, names ...string) {
+	d := defaultScenarioSpec()
+	f.fs, f.registered = fs, map[string]bool{}
+	for _, name := range scenarioFlagNames {
+		if !slices.Contains(names, name) {
+			continue
+		}
+		f.registered[name] = true
+		switch name {
+		case "scenario":
+			fs.StringVar(&f.File, name, "", "load a scenario document (JSON); explicitly-set flags override its fields")
+		case "seed":
+			fs.Int64Var(&f.seed, name, d.Seed, "root random seed")
+		case "topo":
+			fs.StringVar(&f.topo, name, d.Topo.Preset, "fabric preset: "+strings.Join(topo.Presets(), "|"))
+		case "spines":
+			fs.IntVar(&f.spines, name, 0, "override the preset's spine count")
+		case "leaves":
+			fs.IntVar(&f.leaves, name, 0, "override the preset's leaf count")
+		case "hosts":
+			fs.IntVar(&f.hosts, name, 0, "override the preset's hosts per leaf")
+		case "shards":
+			fs.IntVar(&f.shards, name, d.Shards, "event-loop shards per simulation (0 = one per CPU, 1 = single loop)")
+		case "workload":
+			fs.StringVar(&f.workload, name, d.Workload.Name, "registered workload name: "+strings.Join(workload.Names(), "|"))
+		case "load":
+			fs.Float64Var(&f.load, name, *d.Load, "offered load fraction [0,1]")
+		case "incast":
+			fs.Float64Var(&f.incast, name, d.IncastFraction, "fraction of load delivered as incast groups")
+		case "fanin":
+			fs.IntVar(&f.fanIn, name, d.IncastFanIn, "senders per incast group")
+		case "scheme":
+			fs.StringVar(&f.scheme, name, d.Scheme, "registered scheme name (see -list-schemes)")
+		case "transport":
+			fs.StringVar(&f.transport, name, d.Transport, "registered end-host transport (see -list-transports)")
+		case "train":
+			fs.BoolVar(&f.train, name, d.Train, "online incremental training (learned schemes)")
+		case "warmup":
+			fs.DurationVar(&f.warmup, name, time.Duration(d.Warmup.Time()/sim.Nanosecond), "simulated warmup before measurement")
+		case "duration":
+			fs.DurationVar(&f.duration, name, time.Duration(d.Duration.Time()/sim.Nanosecond), "simulated measurement window")
+		}
+	}
+}
+
+// Spec returns the base document with the flags written over it. Call it
+// after parsing and hand the result to ToScenario.
+func (f *ScenarioFlags) Spec() (*bench.ScenarioSpec, error) {
+	sp, set := defaultScenarioSpec(), f.registered
+	if f.File != "" {
+		data, err := os.ReadFile(f.File)
+		if err != nil {
+			return nil, err
+		}
+		if sp, err = bench.DecodeScenarioSpec(data); err != nil {
+			return nil, err
+		}
+		set = map[string]bool{}
+		f.fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	}
+	fabric := func() *bench.TopoSpec {
+		if sp.Topo == nil {
+			sp.Topo = &bench.TopoSpec{}
+		}
+		return sp.Topo
+	}
+	simDuration := func(d time.Duration) *bench.SimDuration {
+		sd := bench.SimDuration(sim.Time(d.Nanoseconds()) * sim.Nanosecond)
+		return &sd
+	}
+	for _, name := range scenarioFlagNames {
+		if !set[name] {
+			continue
+		}
+		switch name {
+		case "seed":
+			sp.Seed = f.seed
+		case "topo":
+			sp.Topo = &bench.TopoSpec{Preset: f.topo}
+		case "spines": // fabric overrides apply only when positive
+			if f.spines > 0 {
+				fabric().Spines = f.spines
+			}
+		case "leaves":
+			if f.leaves > 0 {
+				fabric().Leaves = f.leaves
+			}
+		case "hosts":
+			if f.hosts > 0 {
+				fabric().HostsPerLeaf = f.hosts
+			}
+		case "shards":
+			sp.Shards = f.shards
+			if sp.Shards == 0 {
+				sp.Shards = runtime.NumCPU()
+			}
+		case "workload":
+			sp.Workload = &bench.WorkloadSpec{Name: f.workload}
+		case "load":
+			sp.Load = &f.load
+		case "incast":
+			sp.IncastFraction = f.incast
+		case "fanin":
+			sp.IncastFanIn = f.fanIn
+		case "scheme":
+			sp.Scheme = f.scheme
+		case "transport":
+			sp.Transport = f.transport
+		case "train":
+			sp.Train = f.train
+		case "warmup":
+			sp.Warmup = simDuration(f.warmup)
+		case "duration":
+			sp.Duration = simDuration(f.duration)
+		}
+	}
+	return sp, nil
 }
 
 // Resident control plane (internal/serve) — the subsystem behind the petd
