@@ -1,7 +1,7 @@
 # Verification tiers. `make ci` is the full gate; see README.md.
 GO ?= go
 
-.PHONY: build build-examples vet lint test race test-pool bench-smoke perf ci
+.PHONY: build build-examples vet lint test race test-pool bench-smoke perf-module perf ci
 
 build:
 	$(GO) build ./...
@@ -44,9 +44,16 @@ test-pool:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
+# perf/ is its own module compiled against this tree; `go test ./...` never
+# builds it, so a renamed internal would otherwise only surface in
+# `bash perf/run.sh`.
+perf-module:
+	$(GO) -C perf vet ./...
+	$(GO) -C perf test ./...
+
 # The repository's one benchmark (BENCHMARK.json): five workloads, ten
 # end-to-end metrics; see perf/README.md for flags, ledgers and -compare.
 perf:
 	bash perf/run.sh
 
-ci: build build-examples vet lint test test-pool race
+ci: build build-examples vet lint test test-pool race perf-module bench-smoke

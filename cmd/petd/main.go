@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		storeDir = fs.String("store", "", "versioned model store directory: enables the /models API and, without -models, boots /infer from the store's \"serving\" channel")
 		keep     = fs.Int("keep-versions", 0, "store GC retention after each promotion (0 = 5; channel-pinned versions always survive)")
 		topoF    = fs.String("topo", "tiny", "fabric the bundle was trained on: "+strings.Join(pet.TopoPresets(), "|"))
-		schemeF  = fs.String("scheme", "PET", "registered scheme name served by /infer (see -list-schemes)")
+		schemeF  = fs.String("scheme", "PET", "scheme the promotion gate replays candidate and serving bundles under (see -list-schemes)")
 		replicas = fs.Int("replicas", 0, "inference replica pool size = max concurrent /infer requests (0 = one per core)")
 		maxJobs  = fs.Int("max-jobs", 1, "experiments simulating concurrently (excess queue as pending)")
 		journalF = fs.String("journal", "", "durable job journal file: jobs survive a daemon death, interrupted pretrain jobs resume from their checkpoint")
@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reg := pet.NewTelemetry()
 	inferOpts := pet.InferOptions{
 		Topo:      *topoF,
-		Scheme:    *schemeF,
 		Replicas:  *replicas,
 		Telemetry: reg,
 	}
@@ -122,8 +121,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var store *pet.ModelStore
+	var err error
 	if *storeDir != "" {
-		var err error
 		if store, err = pet.OpenModelStore(*storeDir); err != nil {
 			notReady("model store %s unusable: %v", *storeDir, err)
 		} else {
@@ -131,32 +130,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var infer *pet.InferService
+	// The boot bundle: the -models file, else the store's serving channel,
+	// so a restarted daemon resumes serving the last promoted policy.
+	var boot []byte
+	bootName := *models
 	if *models != "" {
-		bundle, err := os.ReadFile(*models)
-		if err != nil {
+		if boot, err = os.ReadFile(*models); err != nil {
 			notReady("model bundle %s unusable: %v", *models, err)
-		} else if infer, err = pet.NewInferService(bundle, inferOpts); err != nil {
-			notReady("model bundle %s rejected: %v", *models, err)
+		}
+	} else if store != nil {
+		if vi, bundle, err := store.Resolve(pet.ModelChannelServing); err == nil {
+			boot, inferOpts.Version = bundle, vi.Version
+			bootName = fmt.Sprintf("store version %d", vi.Version)
+		} else {
+			notReady("store %s has no serving version yet; ingest and promote a model", *storeDir)
+		}
+	}
+	var infer *pet.InferService
+	if boot != nil {
+		if infer, err = pet.NewInferService(boot, inferOpts); err != nil {
+			notReady("%s rejected: %v", bootName, err)
 		} else {
 			served := infer.Info()
 			logf("serving %s (sha256 %.12s…, %d switches, %d replicas)",
-				*models, served.ModelSHA256, len(served.Switches), served.Replicas)
-		}
-	} else if store != nil {
-		// Boot from the store's serving channel when it has one, so a
-		// restarted daemon resumes serving the last promoted policy.
-		if vi, bundle, err := store.Resolve(pet.ModelChannelServing); err == nil {
-			opts := inferOpts
-			opts.Version = vi.Version
-			if infer, err = pet.NewInferService(bundle, opts); err != nil {
-				notReady("serving version %d from the store rejected: %v", vi.Version, err)
-			} else {
-				logf("serving store version %d (sha256 %.12s…, channel %q)",
-					vi.Version, vi.SHA256, pet.ModelChannelServing)
-			}
-		} else {
-			notReady("store %s has no serving version yet; ingest and promote a model", *storeDir)
+				bootName, served.ModelSHA256, len(served.Switches), served.Replicas)
 		}
 	}
 
@@ -165,7 +162,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// not a silent shrug. (A torn final line — the crash case — recovers.)
 	var journal *pet.JobJournal
 	if *journalF != "" {
-		var err error
 		if journal, err = pet.OpenJobJournal(*journalF, logf); err != nil {
 			return fatalf("job journal: %v", err)
 		}
@@ -174,7 +170,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	daemon := pet.NewDaemon(pet.DaemonConfig{
+	cfg := pet.DaemonConfig{
 		Telemetry:     reg,
 		Infer:         infer,
 		Store:         store,
@@ -187,7 +183,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Watchdog:      pet.WatchdogConfig{Deadline: *jobDl},
 		PendingReason: pending,
 		Logf:          logf,
-	})
+	}
+	cfg.Gate.Scheme = *schemeF
+	daemon := pet.NewDaemon(cfg)
 	srv, err := daemon.Start(*addr)
 	if err != nil {
 		return fatalf("listen: %v", err)

@@ -1,19 +1,6 @@
 package bench
 
-import (
-	"pet/internal/topo"
-	"pet/internal/workload"
-)
-
-// TopoByName returns the fabric preset registered under name ("tiny",
-// "small", "medium", "paper"); an empty name defaults to "tiny". Unknown
-// names yield a *topo.UnknownPresetError.
-func TopoByName(name string) (topo.LeafSpineConfig, error) {
-	if name == "" {
-		name = "tiny"
-	}
-	return topo.Preset(name)
-}
+import "pet/internal/workload"
 
 // defaultBetas returns the paper's per-workload reward weights (Sec. 5.2):
 // (0.3, 0.7) for Web Search, (0.7, 0.3) for Data Mining.

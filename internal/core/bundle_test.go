@@ -7,6 +7,7 @@ import (
 	"pet/internal/bench"
 	"pet/internal/core"
 	"pet/internal/sim"
+	"pet/internal/topo"
 
 	// Register the ACC scheme and the default transport.
 	_ "pet/internal/acc"
@@ -116,6 +117,29 @@ func TestLoadModelsCorruptBundleLeavesWeightsUntouched(t *testing.T) {
 			after, _ := ctl.EncodeModels()
 			if !bytes.Equal(after, donor) {
 				t.Fatal("successful load did not adopt donor weights")
+			}
+		})
+	}
+}
+
+// TestNewEnvRejectsForeignBundle: a bundle trained on another fabric covers
+// a different switch set, so NewEnv refuses it in either direction instead
+// of running the uncovered switches on their initial weights.
+func TestNewEnvRejectsForeignBundle(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		trained, serve topo.LeafSpineConfig
+	}{
+		{"tiny-on-small", topo.TinyScale(), topo.SmallScale()},
+		{"small-on-tiny", topo.SmallScale(), topo.TinyScale()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bundle, err := bench.PretrainInit(bench.Scenario{Topo: c.trained, Scheme: bench.SchemePET, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bench.NewEnv(bench.Scenario{Topo: c.serve, Scheme: bench.SchemePET, Models: bundle}); err == nil {
+				t.Fatal("NewEnv loaded a bundle from another fabric")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pet/internal/mat"
 	"pet/internal/netsim"
@@ -108,15 +109,9 @@ func MergeModelBundles(bundles [][]byte) ([]byte, error) {
 	}
 	first := decoded[0]
 	for i, b := range decoded[1:] {
-		if len(b.Switches) != len(first.Switches) {
-			return nil, fmt.Errorf("core: bundle %d covers %d switches, bundle 0 covers %d",
-				i+1, len(b.Switches), len(first.Switches))
-		}
-		for j, sw := range b.Switches {
-			if sw != first.Switches[j] {
-				return nil, fmt.Errorf("core: bundle %d switch set %v differs from bundle 0 %v",
-					i+1, b.Switches, first.Switches)
-			}
+		if !slices.Equal(b.Switches, first.Switches) {
+			return nil, fmt.Errorf("core: bundle %d switch set %v differs from bundle 0 %v",
+				i+1, b.Switches, first.Switches)
 		}
 	}
 	out := modelBundle{Switches: first.Switches}

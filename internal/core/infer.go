@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
+	"pet/internal/bench"
 	"pet/internal/netsim"
+	"pet/internal/rng"
 	"pet/internal/topo"
 )
 
@@ -12,6 +15,36 @@ import (
 // without driving (or even having) a live simulation. The petd daemon's
 // batched /infer endpoint is built on it — switches ship observations, the
 // policy answers with (Kmin, Kmax, Pmax).
+
+// NewInferenceAgents decodes a bundle saved by EncodeModels into one agent
+// per switch of fabric, in NodeID order: the deployed half of PET, with no
+// network, NCM or training state behind it. The agents are configured and
+// seeded exactly as the PET scheme builds them, and the bundle loads through
+// the loop's codec, so its switch set must be the fabric's and a corrupt
+// snapshot fails the whole call. Only InferECN is meaningful on the result.
+func NewInferenceAgents(fabric topo.LeafSpineConfig, bundle []byte) ([]*SwitchAgent, error) {
+	if err := fabric.Validate(); err != nil {
+		return nil, err
+	}
+	ls := topo.BuildLeafSpine(fabric)
+	ids := append(append([]topo.NodeID(nil), ls.Spines...), ls.Leaves...)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	cfg := benchConfig(bench.Scenario{Scheme: bench.SchemePET}, nil).withDefaults()
+	root := rng.New(cfg.Seed)
+	agents := make([]*SwitchAgent, len(ids))
+	states := make([]*SwitchState, len(ids))
+	models := make([]Model, len(ids))
+	for i, sw := range ids {
+		states[i] = &SwitchState{Switch: sw}
+		agents[i] = newSwitchAgent(states[i], cfg, root.SplitN("agent", int(sw)).Seed())
+		models[i] = agents[i].agent
+	}
+	if err := restoreBundle(bundle, states, models); err != nil {
+		return nil, err
+	}
+	return agents, nil
+}
 
 // AgentBySwitch returns the agent managing switch sw, or nil when the
 // controller has none (sw is a host, or not in the topology).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pet/internal/netsim"
@@ -305,32 +306,38 @@ func (l *Loop) EncodeModels() ([]byte, error) {
 	return encodeBundle(b)
 }
 
-// LoadModels restores models saved by EncodeModels. Switches without a
-// matching entry keep their current weights; architectures must match.
-// The load is all-or-nothing: every snapshot in the bundle is validated
-// before the first model is touched, so a corrupted or truncated bundle
-// leaves the loop exactly as it was.
+// LoadModels restores models saved by EncodeModels through the bundle codec
+// (restoreBundle): the bundle must cover exactly this loop's switches, and
+// a corrupted, truncated or foreign bundle leaves the loop exactly as it was.
 func (l *Loop) LoadModels(data []byte) error {
+	return restoreBundle(data, l.switches, l.models)
+}
+
+// restoreBundle is the codec's one load path. The bundle's switch set must
+// equal the target's — a switch the bundle does not cover would otherwise
+// keep untrained weights, and a switch the target lacks would be dropped —
+// and architectures must match. The load is all-or-nothing: every snapshot
+// is validated before the first model is touched.
+func restoreBundle(data []byte, switches []*SwitchState, models []Model) error {
 	b, err := decodeBundle(data)
 	if err != nil {
 		return err
 	}
-	snapshots := make(map[int][]byte, len(b.Switches))
-	for i, sw := range b.Switches {
-		snapshots[sw] = b.Models[i]
+	ids := make([]int, len(switches))
+	for i, s := range switches {
+		ids[i] = int(s.Switch)
 	}
-	for i, s := range l.switches {
-		if m, ok := snapshots[int(s.Switch)]; ok {
-			if err := l.models[i].ValidateSnapshot(m); err != nil {
-				return fmt.Errorf("core: validating switch %d: %w", s.Switch, err)
-			}
+	if !slices.Equal(b.Switches, ids) {
+		return fmt.Errorf("core: model bundle covers switches %v, target fabric has %v", b.Switches, ids)
+	}
+	for i, s := range switches {
+		if err := models[i].ValidateSnapshot(b.Models[i]); err != nil {
+			return fmt.Errorf("core: validating switch %d: %w", s.Switch, err)
 		}
 	}
-	for i, s := range l.switches {
-		if m, ok := snapshots[int(s.Switch)]; ok {
-			if err := l.models[i].RestoreFrom(m); err != nil {
-				return fmt.Errorf("core: restoring switch %d: %w", s.Switch, err)
-			}
+	for i, s := range switches {
+		if err := models[i].RestoreFrom(b.Models[i]); err != nil {
+			return fmt.Errorf("core: restoring switch %d: %w", s.Switch, err)
 		}
 	}
 	return nil

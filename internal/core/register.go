@@ -2,7 +2,9 @@ package core
 
 import (
 	"pet/internal/bench"
+	"pet/internal/netsim"
 	"pet/internal/rl/ppo"
+	"pet/internal/topo"
 )
 
 // This file plugs PET into the bench scheme registry: the DTDE controller
@@ -13,12 +15,12 @@ func init() {
 	bench.RegisterScheme(bench.SchemePET, buildPET)
 	bench.RegisterScheme(bench.SchemePETAblated, buildPET)
 	bench.RegisterScheme(bench.SchemePETCTDE, func(e *bench.Env) (bench.ControlScheme, error) {
-		return ctdeScheme{NewCTDEController(e.Net, benchConfig(e))}, nil
+		return ctdeScheme{NewCTDEController(e.Net, benchConfig(e.Scenario, e.RecordECNChange))}, nil
 	})
 }
 
 func buildPET(e *bench.Env) (bench.ControlScheme, error) {
-	return NewController(e.Net, benchConfig(e)), nil
+	return NewController(e.Net, benchConfig(e.Scenario, e.RecordECNChange)), nil
 }
 
 // benchTrainKnobs centralizes the IPPO training-budget knobs the bench
@@ -40,11 +42,12 @@ var benchTrainKnobs = struct {
 }
 
 // benchConfig translates a bench scenario into the PET controller
-// configuration shared by the DTDE and CTDE variants.
-func benchConfig(e *bench.Env) Config {
-	s := e.Scenario
+// configuration shared by the DTDE and CTDE variants and the serving agents
+// of NewInferenceAgents; onApply (nil ok) observes every installed
+// configuration.
+func benchConfig(s bench.Scenario, onApply func(topo.NodeID, netsim.ECNConfig)) Config {
 	return Config{
-		OnApply:            e.RecordECNChange,
+		OnApply:            onApply,
 		Alpha:              bench.ControlAlpha,
 		Interval:           bench.ControlInterval,
 		Beta1:              s.Beta1,

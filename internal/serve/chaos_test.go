@@ -785,11 +785,9 @@ func TestReadyzDegradedAndSaturated(t *testing.T) {
 	hresp.Body.Close()
 
 	// A model landing clears the degradation.
-	svc, err := NewInferService(mustBundle(t), InferOptions{Replicas: 1})
-	if err != nil {
+	if err := srv.Infer().Swap(mustBundle(t), 0); err != nil {
 		t.Fatal(err)
 	}
-	srv.infer.Store(svc)
 	if code, body = readyz(); code != http.StatusOK || !body.Ready {
 		t.Fatalf("/readyz after model load = %d %+v, want ready", code, body)
 	}
@@ -938,8 +936,8 @@ func TestServeChaosCorruptStoreRead(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("corrupt promote answered %d: %s", resp.StatusCode, b)
 	}
-	if srv.Infer() != nil {
-		t.Fatal("corrupt promotion installed an inference service")
+	if ref := srv.Infer().Model(); ref != (ModelRef{}) {
+		t.Fatalf("corrupt promotion left model %+v serving, want none", ref)
 	}
 	ctx, cancel := testContext(t, time.Minute)
 	defer cancel()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -73,6 +74,50 @@ func TestInferHTTPEdgeCases(t *testing.T) {
 	if len(ir.Actions) != 1 {
 		t.Fatalf("good batch after rejections: %d actions, want 1", len(ir.Actions))
 	}
+}
+
+// FuzzInferBody sends arbitrary bytes to POST /infer on a loaded service.
+// The contract: a 200 with one action per observation, or a 4xx/5xx
+// carrying the JSON error envelope — never a panic.
+func FuzzInferBody(f *testing.F) {
+	svc, err := NewInferService(mustBundle(f), InferOptions{Replicas: 1, MaxBatch: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := New(Config{Infer: svc}).Handler()
+	info := svc.Info()
+	body := func(sw, width int) []byte {
+		b, err := json.Marshal(InferRequest{Requests: []ObsRequest{{Switch: sw, Obs: make([]float64, width)}}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := body(info.Switches[0], info.ObsDim)
+	f.Add(valid)
+	f.Add([]byte(`{"requests":[]}`))
+	f.Add(body(info.Switches[0], info.ObsDim-1))
+	f.Add(body(-1, info.ObsDim))
+	f.Add(valid[:len(valid)/2])
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(raw)))
+		if rec.Code == http.StatusOK {
+			var req InferRequest
+			var resp InferResponse
+			_ = json.Unmarshal(raw, &req)
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Actions) != len(req.Requests) {
+				t.Fatalf("200 with %d actions for %d observations (decode error %v): %s",
+					len(resp.Actions), len(req.Requests), err, rec.Body.Bytes())
+			}
+			return
+		}
+		var apiErr apiError
+		if rec.Code < 400 || json.Unmarshal(rec.Body.Bytes(), &apiErr) != nil || apiErr.Error == "" {
+			t.Fatalf("status %d without the JSON error envelope: %q", rec.Code, rec.Body.Bytes())
+		}
+	})
 }
 
 // TestVersionEndpoint checks GET /version serves the build identity

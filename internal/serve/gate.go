@@ -22,9 +22,9 @@ import (
 // GateConfig parameterizes the shadow evaluation. The zero value replays a
 // short tiny-fabric websearch scenario with lenient thresholds.
 type GateConfig struct {
-	// The fixed replay scenario. Zero values take the daemon's serving
-	// defaults: the infer service's topo and scheme, websearch, load 0.5,
-	// seed 1.
+	// The fixed replay scenario. Zero values take the daemon's defaults:
+	// the infer service's topo, the daemon gate's scheme (petd -scheme,
+	// default PET), websearch, load 0.5, seed 1.
 	Topo     string  `json:"topo,omitempty"`
 	Scheme   string  `json:"scheme,omitempty"`
 	Workload string  `json:"workload,omitempty"`

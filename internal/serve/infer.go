@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pet/internal/bench"
 	"pet/internal/core"
 	"pet/internal/telemetry"
 	"pet/internal/topo"
@@ -24,9 +23,10 @@ import (
 // back.
 //
 // Concurrency model: ppo agents share per-agent scratch and are not
-// goroutine-safe, so the service builds Replicas identical controller
-// replicas from the same bundle and leases them through a buffered
-// channel. One request leases one replica for its whole batch; leases
+// goroutine-safe, so the service decodes Replicas identical copies of the
+// bundle's per-switch policies (core.NewInferenceAgents: the deployed
+// actors alone, no simulated network behind them) and leases them through
+// a buffered channel. One request leases one replica for its whole batch; leases
 // bound concurrency naturally (a saturated pool queues requests instead of
 // corrupting scratch). The per-batch hot path — lease, validate, forward
 // passes, action translation — allocates nothing; JSON encode/decode at
@@ -92,14 +92,13 @@ type InferInfo struct {
 
 // InferOptions parameterizes NewInferService.
 type InferOptions struct {
-	// Topo names the fabric the bundle was trained on (a topo preset name,
-	// default tiny); it determines the switch set and observation width.
+	// Topo names the fabric the service serves (a topo preset name, default
+	// tiny). It alone fixes the serving contract — the switch set and the
+	// observation width — so every bundle installed must have been trained
+	// on it.
 	Topo string
-	// Scheme is the registered control scheme to serve (default PET). It
-	// must assemble to a *core.Controller — the per-switch IPPO family.
-	Scheme string
-	// Replicas is the controller-replica pool size, the service's maximum
-	// request concurrency (0 = one per core, minimum 2).
+	// Replicas is the replica pool size, the service's maximum request
+	// concurrency (0 = one per core, minimum 2).
 	Replicas int
 	// MaxBatch bounds observations per request (0 = 4096).
 	MaxBatch int
@@ -112,7 +111,8 @@ type InferOptions struct {
 	Faults *FaultPlan
 }
 
-// replica is one single-threaded inference lane.
+// replica is one single-threaded inference lane: the bundle's per-switch
+// policies, decoded on their own.
 type replica struct {
 	agents map[topo.NodeID]*core.SwitchAgent
 	acts   []int // action-head scratch, reused across the batch
@@ -120,12 +120,17 @@ type replica struct {
 
 // modelPool is one model version's complete serving state: immutable after
 // construction, published wholesale through InferService.cur. The bundle is
-// retained so a replica poisoned by a panic can be rebuilt in place.
+// retained so a replica poisoned by a panic can be rebuilt in place. Every
+// pool of one service has the same switch set and observation width: both
+// follow from the service's fabric.
 type modelPool struct {
-	version  int
-	sha      string
-	bundle   []byte
-	replicas chan *replica
+	version   int
+	sha       string
+	bundle    []byte
+	replicas  chan *replica
+	obsDim    int
+	switches  []int
+	switchSet map[int]bool // membership view of switches, for pre-lease validation
 }
 
 // ErrOverloaded reports a request that could not lease a replica within its
@@ -147,8 +152,8 @@ func (e *ReplicaPanicError) Error() string {
 }
 
 // SwapError reports a rejected hot swap: the candidate bundle failed to
-// load or produced an incompatible controller, and the serving pool was
-// left untouched. Matchable with errors.As; Unwrap exposes the cause.
+// load for the service's fabric, and the serving pool was left untouched.
+// Matchable with errors.As; Unwrap exposes the cause.
 type SwapError struct {
 	Version int   // store version of the rejected candidate (0 = unversioned)
 	Cause   error // why construction or validation failed
@@ -160,18 +165,14 @@ func (e *SwapError) Error() string {
 
 func (e *SwapError) Unwrap() error { return e.Cause }
 
-// InferService answers observation batches from a pool of controller
-// replicas loaded from one model bundle, hot-swappable to a new bundle
-// without dropping a request.
+// InferService answers observation batches from a pool of replicas decoded
+// from one model bundle, hot-swappable to a new bundle without dropping a
+// request. A service with no model yet answers every batch with errNoModel.
 type InferService struct {
-	opts      InferOptions // normalized; reused by Swap
-	obsDim    int
-	switches  []int
-	switchSet map[int]bool // membership view of switches, for pre-lease validation
-	maxBatch  int
+	opts InferOptions // normalized; reused by Swap
 
-	cur       atomic.Pointer[modelPool]
-	swapMu    sync.Mutex // serializes Swap; Infer never takes it
+	cur       atomic.Pointer[modelPool] // nil until the first model lands
+	swapMu    sync.Mutex                // serializes Swap; Infer never takes it
 	swapCount atomic.Uint64
 
 	requests, observations, errors *telemetry.Counter
@@ -181,13 +182,24 @@ type InferService struct {
 	batchObs                       *telemetry.Histogram
 }
 
-// NewInferService builds the replica pool from a model bundle (as written
-// by pettrain or held in the model store, and restored per
-// replica through Controller.LoadModels' validate-then-apply path — a
-// corrupt bundle fails construction, never a request).
+// NewInferService builds a service for opts.Topo and installs bundle (as
+// written by pettrain or held in the model store) through Swap: every
+// replica decodes the bundle's per-switch policies, so a corrupt bundle, or
+// one trained on another fabric, fails construction, never a request. The
+// error is the rejected install's cause.
 func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {
-	if opts.Scheme == "" {
-		opts.Scheme = string(bench.SchemePET)
+	s := newInferService(opts)
+	if err := s.Swap(bundle, opts.Version); err != nil {
+		return nil, errors.Unwrap(err)
+	}
+	return s, nil
+}
+
+// newInferService returns a service with no model: /infer answers
+// errNoModel until Swap installs the first bundle.
+func newInferService(opts InferOptions) *InferService {
+	if opts.Topo == "" {
+		opts.Topo = "tiny"
 	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = runtime.NumCPU()
@@ -198,9 +210,8 @@ func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 4096
 	}
-	s := &InferService{
+	return &InferService{
 		opts:           opts,
-		maxBatch:       opts.MaxBatch,
 		requests:       opts.Telemetry.Counter("petd_infer_requests_total"),
 		observations:   opts.Telemetry.Counter("petd_infer_observations_total"),
 		errors:         opts.Telemetry.Counter("petd_infer_errors_total"),
@@ -210,144 +221,108 @@ func NewInferService(bundle []byte, opts InferOptions) (*InferService, error) {
 		servingVersion: opts.Telemetry.Gauge("petd_infer_serving_version"),
 		batchObs:       opts.Telemetry.Histogram("petd_infer_batch_obs", telemetry.ExpBuckets(1, 2, 13)),
 	}
-	pool, obsDim, switches, err := s.buildPool(bundle, opts.Version)
+}
+
+// newReplica decodes one inference lane from a bundle.
+func (s *InferService) newReplica(bundle []byte) (*replica, error) {
+	fabric, err := topo.Preset(s.opts.Topo)
 	if err != nil {
 		return nil, err
 	}
-	s.obsDim = obsDim
-	s.switches = switches
-	s.switchSet = make(map[int]bool, len(switches))
-	for _, sw := range switches {
-		s.switchSet[sw] = true
-	}
-	s.cur.Store(pool)
-	s.servingVersion.Set(float64(opts.Version))
-	return s, nil
-}
-
-// newReplica assembles one inference lane from a bundle, returning its
-// controller so callers can read the serving contract (width, switch set).
-func (s *InferService) newReplica(bundle []byte) (*replica, *core.Controller, error) {
-	topoCfg, err := bench.TopoByName(s.opts.Topo)
+	agents, err := core.NewInferenceAgents(fabric, bundle)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("serve: assembling inference replica: %w", err)
 	}
-	env, err := bench.NewEnv(bench.Scenario{
-		Topo:   topoCfg,
-		Scheme: bench.Scheme(s.opts.Scheme),
-		Models: bundle,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: assembling inference replica: %w", err)
+	r := &replica{
+		agents: make(map[topo.NodeID]*core.SwitchAgent, len(agents)),
+		acts:   make([]int, len(agents[0].Policy().Config().Heads)),
 	}
-	ctl, ok := env.Control.(*core.Controller)
-	if !ok {
-		return nil, nil, fmt.Errorf("serve: scheme %q is a %T, not the per-switch IPPO controller required for serving",
-			s.opts.Scheme, env.Control)
-	}
-	r := &replica{agents: map[topo.NodeID]*core.SwitchAgent{}}
-	for _, a := range ctl.Agents() {
+	for _, a := range agents {
 		r.agents[a.Switch] = a
 	}
-	r.acts = make([]int, len(ctl.Config().Heads()))
-	return r, ctl, nil
+	return r, nil
 }
 
-// buildPool assembles a complete replica pool for one bundle and reports
-// the observation width and switch set it serves.
-func (s *InferService) buildPool(bundle []byte, version int) (*modelPool, int, []int, error) {
+// buildPool assembles a complete replica pool for one bundle.
+func (s *InferService) buildPool(bundle []byte, version int) (*modelPool, error) {
 	if len(bundle) == 0 {
-		return nil, 0, nil, fmt.Errorf("serve: empty model bundle")
+		return nil, fmt.Errorf("serve: empty model bundle")
 	}
 	sum := sha256.Sum256(bundle)
 	pool := &modelPool{
-		version:  version,
-		sha:      hex.EncodeToString(sum[:]),
-		bundle:   bundle,
-		replicas: make(chan *replica, s.opts.Replicas),
+		version:   version,
+		sha:       hex.EncodeToString(sum[:]),
+		bundle:    bundle,
+		replicas:  make(chan *replica, s.opts.Replicas),
+		switchSet: map[int]bool{},
 	}
-	var obsDim int
-	var switches []int
 	for i := 0; i < s.opts.Replicas; i++ {
-		r, ctl, err := s.newReplica(bundle)
+		r, err := s.newReplica(bundle)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, err
 		}
 		if i == 0 {
-			obsDim = ctl.Config().ObsDim()
-			for _, a := range ctl.Agents() {
-				switches = append(switches, int(a.Switch))
+			for sw, a := range r.agents {
+				pool.switches = append(pool.switches, int(sw))
+				pool.switchSet[int(sw)] = true
+				pool.obsDim = a.Policy().Config().ObsDim
 			}
-			sort.Ints(switches)
+			sort.Ints(pool.switches)
 		}
 		pool.replicas <- r
 	}
-	return pool, obsDim, switches, nil
+	return pool, nil
 }
 
-// Swap atomically replaces the serving model: it builds and validates a
-// complete replica pool from bundle (store version number `version`), then
-// publishes it in one atomic store. In-flight batches finish on the old
-// pool; the next lease sees the new one. On any failure — empty or corrupt
-// bundle, scheme mismatch, incompatible observation width or switch set —
-// the serving pool is untouched and the returned error is a *SwapError
-// wrapping the cause. Safe to call concurrently with Infer; concurrent
-// Swaps serialize.
+// Swap installs bundle (store version number `version`) as the serving
+// model: the one way any model reaches the service, the first included. It
+// builds and validates a complete replica pool, then publishes it in one
+// atomic store; in-flight batches finish on the old pool and the next lease
+// sees the new one. Only replacing a serving pool counts as a swap. On any
+// failure — empty or corrupt bundle, or one trained on another fabric — the
+// serving pool is untouched and the returned error is a *SwapError wrapping
+// the cause. Safe to call concurrently with Infer; concurrent Swaps
+// serialize.
 func (s *InferService) Swap(bundle []byte, version int) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	pool, obsDim, switches, err := s.buildPool(bundle, version)
+	pool, err := s.buildPool(bundle, version)
 	if err != nil {
 		s.swapFailures.Inc()
 		return &SwapError{Version: version, Cause: err}
 	}
-	// The pool shape is part of the serving contract: clients sized their
-	// observation vectors and switch sets against it.
-	if obsDim != s.obsDim {
-		s.swapFailures.Inc()
-		return &SwapError{Version: version, Cause: fmt.Errorf(
-			"serve: candidate observes %d values per switch, serving contract is %d", obsDim, s.obsDim)}
+	if s.cur.Swap(pool) != nil {
+		s.swapCount.Add(1)
+		s.swaps.Inc()
 	}
-	if len(switches) != len(s.switches) {
-		s.swapFailures.Inc()
-		return &SwapError{Version: version, Cause: fmt.Errorf(
-			"serve: candidate serves %d switches, serving contract is %d", len(switches), len(s.switches))}
-	}
-	for i, sw := range switches {
-		if sw != s.switches[i] {
-			s.swapFailures.Inc()
-			return &SwapError{Version: version, Cause: fmt.Errorf(
-				"serve: candidate switch set %v differs from serving contract %v", switches, s.switches)}
-		}
-	}
-	s.cur.Store(pool)
-	s.swapCount.Add(1)
-	s.swaps.Inc()
 	s.servingVersion.Set(float64(version))
 	return nil
 }
 
-// Model returns the identity of the currently serving model.
+// loaded reports whether a model is serving.
+func (s *InferService) loaded() bool { return s.cur.Load() != nil }
+
+// Model returns the identity of the currently serving model (zero before
+// the first model lands).
 func (s *InferService) Model() ModelRef {
 	p := s.cur.Load()
+	if p == nil {
+		return ModelRef{}
+	}
 	return ModelRef{Version: p.version, SHA256: p.sha}
 }
 
 // ModelSHA256 returns the hex digest of the currently serving bundle.
-func (s *InferService) ModelSHA256() string { return s.cur.Load().sha }
+func (s *InferService) ModelSHA256() string { return s.Model().SHA256 }
 
 // Info describes the service.
 func (s *InferService) Info() InferInfo {
-	p := s.cur.Load()
-	return InferInfo{
-		ModelVersion: p.version,
-		ModelSHA256:  p.sha,
-		Switches:     s.switches,
-		ObsDim:       s.obsDim,
-		Replicas:     s.opts.Replicas,
-		MaxBatch:     s.maxBatch,
-		Swaps:        s.swapCount.Load(),
+	info := InferInfo{Replicas: s.opts.Replicas, MaxBatch: s.opts.MaxBatch, Swaps: s.swapCount.Load()}
+	if p := s.cur.Load(); p != nil {
+		info.ModelVersion, info.ModelSHA256 = p.version, p.sha
+		info.Switches, info.ObsDim = p.switches, p.obsDim
 	}
+	return info
 }
 
 // Infer answers one batch with no deadline; see InferContext.
@@ -374,14 +349,18 @@ func (s *InferService) InferContext(ctx context.Context, reqs []ObsRequest, out 
 	// One atomic load pins the batch to one model version: lease, compute
 	// and report all against the same pool.
 	p := s.cur.Load()
+	if p == nil {
+		s.errors.Inc()
+		return ModelRef{}, errNoModel
+	}
 	ref := ModelRef{Version: p.version, SHA256: p.sha}
 	if len(reqs) == 0 {
 		s.errors.Inc()
 		return ref, fmt.Errorf("serve: empty inference batch")
 	}
-	if len(reqs) > s.maxBatch {
+	if len(reqs) > s.opts.MaxBatch {
 		s.errors.Inc()
-		return ref, fmt.Errorf("serve: batch of %d observations exceeds the %d maximum", len(reqs), s.maxBatch)
+		return ref, fmt.Errorf("serve: batch of %d observations exceeds the %d maximum", len(reqs), s.opts.MaxBatch)
 	}
 	if len(out) < len(reqs) {
 		s.errors.Inc()
@@ -389,15 +368,15 @@ func (s *InferService) InferContext(ctx context.Context, reqs []ObsRequest, out 
 	}
 	for i := range reqs {
 		req := &reqs[i]
-		if !s.switchSet[req.Switch] {
+		if !p.switchSet[req.Switch] {
 			s.errors.Inc()
 			return ref, fmt.Errorf("serve: request %d: no agent for switch %d (serving switches %v)",
-				i, req.Switch, s.switches)
+				i, req.Switch, p.switches)
 		}
-		if len(req.Obs) != s.obsDim {
+		if len(req.Obs) != p.obsDim {
 			s.errors.Inc()
 			return ref, fmt.Errorf("serve: request %d: switch %d observation has %d values, want %d",
-				i, req.Switch, len(req.Obs), s.obsDim)
+				i, req.Switch, len(req.Obs), p.obsDim)
 		}
 	}
 
@@ -460,7 +439,7 @@ func (s *InferService) computeBatch(r *replica, reqs []ObsRequest, out []ECNActi
 // not a reason to block; the pool then runs one lane short.
 func (s *InferService) recycle(p *modelPool) {
 	s.replicaPanics.Inc()
-	r, _, err := s.newReplica(p.bundle)
+	r, err := s.newReplica(p.bundle)
 	if err != nil {
 		return
 	}

@@ -198,8 +198,8 @@ func (s *Server) handleModelList(w http.ResponseWriter, _ *http.Request) {
 	for _, vi := range s.store.Versions() {
 		resp.Versions = append(resp.Versions, s.modelView(vi))
 	}
-	if svc := s.infer.Load(); svc != nil {
-		ref := svc.Model()
+	if s.infer.loaded() {
+		ref := s.infer.Model()
 		resp.Serving = &ref
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -310,10 +310,10 @@ func (s *Server) Promote(ctx context.Context, ref string, gate *GateConfig) (Pro
 	}
 	// The gate replays on the serving fabric unless told otherwise.
 	if gcfg.Topo == "" {
-		gcfg.Topo = s.cfg.InferOpts.Topo
+		gcfg.Topo = s.infer.opts.Topo
 	}
 	if gcfg.Scheme == "" {
-		gcfg.Scheme = s.cfg.InferOpts.Scheme
+		gcfg.Scheme = s.cfg.Gate.Scheme
 	}
 	report, err := RunGate(ctx, gcfg, servingBundle, bundle)
 	if err != nil {
@@ -331,21 +331,9 @@ func (s *Server) Promote(ctx context.Context, ref string, gate *GateConfig) (Pro
 
 	// Commit point: roll the replica pool. In-flight batches finish on the
 	// old version; the next lease sees the new one.
-	if svc := s.infer.Load(); svc != nil {
-		if err := svc.Swap(bundle, vi.Version); err != nil {
-			s.promoteRejects.Inc()
-			return PromotionResult{Report: report}, err
-		}
-	} else {
-		opts := s.cfg.InferOpts
-		opts.Version = vi.Version
-		opts.Telemetry = s.reg
-		svc, err := NewInferService(bundle, opts)
-		if err != nil {
-			s.promoteRejects.Inc()
-			return PromotionResult{Report: report}, &SwapError{Version: vi.Version, Cause: err}
-		}
-		s.infer.Store(svc)
+	if err := s.infer.Swap(bundle, vi.Version); err != nil {
+		s.promoteRejects.Inc()
+		return PromotionResult{Report: report}, err
 	}
 
 	res := PromotionResult{Promoted: vi, Previous: previous, Report: report}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pet/internal/buildinfo"
@@ -22,7 +21,8 @@ type Config struct {
 	// Telemetry is the registry every job instruments and the SSE stream
 	// snapshots (nil = a fresh private registry).
 	Telemetry *telemetry.Registry
-	// Infer (nil ok) serves POST /infer from boot; without it the endpoint
+	// Infer (nil ok) serves POST /infer from boot. Without it the server
+	// builds a service with no model from InferOpts, and the endpoint
 	// answers 503 until a model is promoted through the store, so pollers
 	// can distinguish "no model loaded" from "bad daemon".
 	Infer *InferService
@@ -30,12 +30,12 @@ type Config struct {
 	// ingest, channels, shadow-eval gating and promotion. Without it the
 	// /models endpoints answer 503.
 	Store *modelstore.Store
-	// InferOpts parameterizes replica pools the server builds itself when a
-	// promotion lands on a daemon that booted without a model (Infer nil).
-	// Version and Telemetry are set per promotion.
+	// InferOpts parameterizes the service the server builds itself when
+	// Infer is nil; its Telemetry and Faults are the server's.
 	InferOpts InferOptions
 	// Gate is the default shadow-eval config for promotions; a promotion
-	// request may override it per call.
+	// request may override it per call, and an override that names no
+	// scheme replays this one.
 	Gate GateConfig
 	// KeepVersions is the store GC retention applied after each promotion
 	// (0 = the store default of 5). Channel-pinned versions — serving,
@@ -66,8 +66,8 @@ type Config struct {
 	// of exiting.
 	PendingReason string
 	// Faults (nil ok) injects deterministic serve-layer faults for chaos
-	// tests; threaded into pretrain jobs, store reads and — for pools the
-	// server builds itself — inference batches.
+	// tests; threaded into pretrain jobs, store reads and — for the
+	// inference service the server builds itself — inference batches.
 	Faults *FaultPlan
 }
 
@@ -80,10 +80,9 @@ type Server struct {
 	store *modelstore.Store
 	logf  func(format string, a ...any)
 
-	// infer is the live inference service, swapped wholesale when a daemon
-	// that booted model-less gets its first promotion; the service itself
-	// hot-swaps bundles for every later one.
-	infer atomic.Pointer[InferService]
+	// infer is the inference service, with or without a model; every
+	// promotion installs through its Swap.
+	infer *InferService
 
 	// promoteMu serializes promotions end to end (gate → swap → channel
 	// moves → GC); /infer traffic never takes it.
@@ -113,15 +112,17 @@ func New(cfg Config) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// Pools the server builds itself (promotions on a model-less daemon)
-	// inherit the serve-layer fault plan.
-	cfg.InferOpts.Faults = cfg.Faults
+	if cfg.Infer == nil {
+		cfg.InferOpts.Telemetry, cfg.InferOpts.Faults = cfg.Telemetry, cfg.Faults
+		cfg.Infer = newInferService(cfg.InferOpts)
+	}
 	s := &Server{
 		cfg:            cfg,
 		reg:            cfg.Telemetry,
 		mgr:            NewManager(cfg.MaxJobs, cfg.Telemetry, cfg.Logf),
 		store:          cfg.Store,
 		logf:           logf,
+		infer:          cfg.Infer,
 		admit:          newAdmission(cfg.Admission, cfg.Telemetry),
 		brk:            newBreaker(cfg.Admission, cfg.Telemetry, nil),
 		done:           make(chan struct{}),
@@ -134,9 +135,6 @@ func New(cfg Config) *Server {
 	// /metrics even before anything trips them.
 	cfg.Telemetry.Counter("serve_replica_panics_total")
 	cfg.Telemetry.Counter("job_watchdog_trips_total")
-	if cfg.Infer != nil {
-		s.infer.Store(cfg.Infer)
-	}
 	// Finished pretrain jobs publish into the same store (spec.publish).
 	s.mgr.store = cfg.Store
 	s.mgr.faults = cfg.Faults
@@ -153,9 +151,9 @@ func New(cfg Config) *Server {
 // Jobs exposes the job manager (tests and embedders).
 func (s *Server) Jobs() *Manager { return s.mgr }
 
-// Infer exposes the live inference service (nil before any model is loaded
-// or promoted).
-func (s *Server) Infer() *InferService { return s.infer.Load() }
+// Infer exposes the inference service; its Model is zero until a model is
+// loaded or promoted.
+func (s *Server) Infer() *InferService { return s.infer }
 
 // Handler routes the control-plane API. Anything outside the API namespace
 // falls through to the telemetry handler, so one listener serves
@@ -312,8 +310,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	svc := s.infer.Load()
-	if svc == nil {
+	svc := s.infer
+	if !svc.loaded() {
 		writeError(w, http.StatusServiceUnavailable, errNoModel)
 		return
 	}
@@ -385,8 +383,8 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := healthzResponse{Status: "ok", Jobs: len(s.mgr.List())}
-	if svc := s.infer.Load(); svc != nil {
-		info := svc.Info()
+	if s.infer.loaded() {
+		info := s.infer.Info()
 		resp.Infer = &info
 	}
 	if s.store != nil {
@@ -418,7 +416,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	// A daemon that booted degraded (failed bundle load, empty serving
 	// channel, unreachable store) carries its reason until a model lands.
-	if s.cfg.PendingReason != "" && s.infer.Load() == nil {
+	if s.cfg.PendingReason != "" && !s.infer.loaded() {
 		resp.Reasons = append(resp.Reasons, s.cfg.PendingReason)
 	}
 	if s.admit.overWatermark() {
