@@ -31,11 +31,11 @@ func ExampleNewController() {
 	fabric := pet.BuildLeafSpine(pet.TinyScale())
 	net := pet.NewNetwork(eng, fabric, 42, pet.NetworkConfig{BufferPerQueue: 4 << 20})
 	tr := pet.NewTransport(net, pet.TransportConfig{})
-	ctl := pet.NewController(net, pet.ControllerConfig{
+	ctl := pet.NewController(net, pet.ControllerConfig{AgentConfig: pet.AgentConfig{
 		Alpha:    2,
 		Train:    true,
 		Interval: 100 * pet.Microsecond,
-	})
+	}})
 	ctl.Start()
 
 	tr.StartFlow(fabric.Hosts[0], fabric.Hosts[3], 100_000, 0)

@@ -25,14 +25,14 @@ func main() {
 	tr := pet.NewTransport(net, pet.TransportConfig{})
 
 	// One controller per class with the paper's two reward weightings.
-	ctl0 := pet.NewController(net, pet.ControllerConfig{
+	ctl0 := pet.NewController(net, pet.ControllerConfig{AgentConfig: pet.AgentConfig{
 		Alpha: 2, Class: 0, Train: true, Beta1: 0.3, Beta2: 0.7,
 		Interval: 100 * pet.Microsecond, Seed: 1,
-	})
-	ctl1 := pet.NewController(net, pet.ControllerConfig{
+	}})
+	ctl1 := pet.NewController(net, pet.ControllerConfig{AgentConfig: pet.AgentConfig{
 		Alpha: 2, Class: 1, Train: true, Beta1: 0.7, Beta2: 0.3,
 		Interval: 100 * pet.Microsecond, Seed: 2,
-	})
+	}})
 	ctl0.Start()
 	ctl1.Start()
 

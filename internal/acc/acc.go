@@ -16,93 +16,32 @@ import (
 	"pet/internal/rl"
 	"pet/internal/rl/ddqn"
 	"pet/internal/rng"
-	"pet/internal/sim"
-	"pet/internal/topo"
 )
 
-// Config parameterizes the ACC controller. Zero values take the settings
-// the paper used for its comparison (Sec. 5.2).
+// Config parameterizes the ACC controller: the switch-agent settings PET
+// uses too — the comparison holds ACC to PET's cadence, action grid, state
+// window and reward (Sec. 5.2), its ω1·throughput + ω2·delay reward being
+// PET's Eq. (6) over Beta1/Beta2 — plus DDQN's own knobs. Zero values take
+// the settings the paper used for its comparison.
+//
+// ACC's action picks Kmax = Alpha·2^n KB and a marking probability; Kmin is
+// tied at Kmax/4, keeping the joint action space small enough for a DQN head.
 type Config struct {
-	// Action discretization: ACC picks Kmax = Alpha·2^n KB and a marking
-	// probability; Kmin is tied at Kmax/4, keeping the joint action space
-	// small enough for a DQN head.
-	Alpha      float64 // default 20
-	NMax       int     // default 9
-	PmaxStep   float64 // default 0.05
-	PmaxLevels int     // default 20
+	core.AgentConfig
 
-	HistoryK       int      // default 3
-	QlenNorm       float64  // default 256 KiB
-	Interval       sim.Time // default 200 µs
-	QueueSampleDiv int      // default 8
-
-	Omega1    float64 // throughput reward weight, default 0.3
-	Omega2    float64 // delay reward weight, default 0.7
-	QrefBytes float64 // default 20 KiB
-
-	// ExplicitWeights marks Omega1/Omega2 as deliberately set, suppressing
-	// the (0.3, 0.7) default even when both are zero.
-	ExplicitWeights bool
-
-	Train        bool
 	GlobalReplay bool        // ACC's published design; false isolates replay per agent
 	ReplayCap    int         // default 10000
 	Epsilon      rl.ExpDecay // ε-greedy schedule, default 0.2/0.99/T=50
 	DDQN         ddqn.Config // network overrides (ObsDim/Actions derived)
-
-	FlowTableMax    int
-	CleanupInterval sim.Time
-
-	Class int
-
-	// OnApply, when set, observes every installed ECN reconfiguration.
-	OnApply func(sw topo.NodeID, cfg netsim.ECNConfig)
-
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.Alpha == 0 {
-		c.Alpha = 20
-	}
-	if c.NMax == 0 {
-		c.NMax = 9
-	}
-	if c.PmaxStep == 0 {
-		c.PmaxStep = 0.05
-	}
-	if c.PmaxLevels == 0 {
-		c.PmaxLevels = 20
-	}
-	if c.HistoryK == 0 {
-		c.HistoryK = 3
-	}
-	if c.QlenNorm == 0 {
-		c.QlenNorm = 256 << 10
-	}
-	if c.Interval == 0 {
-		c.Interval = 200 * sim.Microsecond
-	}
-	if c.QueueSampleDiv == 0 {
-		c.QueueSampleDiv = 8
-	}
-	if !c.ExplicitWeights && c.Omega1 == 0 && c.Omega2 == 0 {
-		c.Omega1, c.Omega2 = 0.3, 0.7
-	}
-	if c.QrefBytes == 0 {
-		c.QrefBytes = 20 << 10
-	}
+	c.AgentConfig = c.AgentConfig.WithDefaults()
 	if c.ReplayCap == 0 {
 		c.ReplayCap = 10000
 	}
 	if c.Epsilon == (rl.ExpDecay{}) {
 		c.Epsilon = rl.ExpDecay{Init: 0.2, Rate: 0.99, DecaySlot: 50, Floor: 0.02}
-	}
-	if c.FlowTableMax == 0 {
-		c.FlowTableMax = 4096
-	}
-	if c.CleanupInterval == 0 {
-		c.CleanupInterval = 4 * c.Interval
 	}
 	return c
 }
@@ -131,26 +70,6 @@ func (c Config) ActionToECN(idx int) netsim.ECNConfig {
 		kmin = 1
 	}
 	return netsim.ECNConfig{Enabled: true, KminBytes: kmin, KmaxBytes: kmax, Pmax: pmax}
-}
-
-// loopConfig adapts this config for the shared switch-agent loop: its
-// cadence, class, history depth, reward weights and OnApply. ACC's
-// ω1·throughput + ω2·delay reward is PET's Eq. (6) with Omega1/Omega2 as
-// the weights, so comparisons isolate the state/algorithm differences.
-func (c Config) loopConfig() core.Config {
-	return core.Config{
-		HistoryK:        c.HistoryK,
-		Interval:        c.Interval,
-		QueueSampleDiv:  c.QueueSampleDiv,
-		CleanupInterval: c.CleanupInterval,
-		FlowTableMax:    c.FlowTableMax,
-		Class:           c.Class,
-		Beta1:           c.Omega1,
-		Beta2:           c.Omega2,
-		QrefBytes:       c.QrefBytes,
-		OnApply:         c.OnApply,
-		Seed:            c.Seed,
-	}
 }
 
 // SwitchAgent is one ACC agent on one switch.
@@ -183,7 +102,7 @@ func NewController(net *netsim.Network, cfg Config) *Controller {
 	dcfg := cfg.DDQN
 	dcfg.ObsDim = cfg.ObsDim()
 	dcfg.Actions = cfg.Actions()
-	c.Loop = core.NewLoop(net, cfg.loopConfig(), core.Learner{
+	c.Loop = core.NewLoop(net, cfg.AgentConfig, core.Learner{
 		// Neutral starting configuration, mid-range like PET's default.
 		Initial:  cfg.ActionToECN(cfg.Actions() / 2),
 		Features: cfg.slotFeatures,
@@ -212,16 +131,8 @@ func (c Config) slotFeatures(s *core.SwitchState, f core.SlotFeatures) []float64
 	bw := s.NCM().TotalBandwidth()
 	tx := float64(f.TxBytes) * 8 / (c.Interval.Seconds() * bw)
 	txm := float64(f.TxMarkedBytes) * 8 / (c.Interval.Seconds() * bw)
-	norm := c.Alpha * math.Pow(2, float64(c.NMax)) * 1024
-	cur := s.CurrentECN()
-	return []float64{
-		f.QAvgBytes / c.QlenNorm,
-		tx,
-		txm,
-		float64(cur.KminBytes) / norm,
-		float64(cur.KmaxBytes) / norm,
-		cur.Pmax,
-	}
+	kmin, kmax, pmax := c.ECNToFeatures(s.CurrentECN())
+	return []float64{f.QAvgBytes / c.QlenNorm, tx, txm, kmin, kmax, pmax}
 }
 
 // decide is one DDQN step per agent: store the previous transition in the

@@ -3,20 +3,23 @@ package acc
 import (
 	"testing"
 
+	"pet/internal/bench"
+	"pet/internal/core"
 	"pet/internal/dcqcn"
 	"pet/internal/netsim"
 	"pet/internal/sim"
+	"pet/internal/telemetry"
 	"pet/internal/topo"
 	"pet/internal/workload"
 )
 
 func testConfig() Config {
-	return Config{
+	return Config{AgentConfig: core.AgentConfig{
 		Alpha:    2,
 		Interval: 100 * sim.Microsecond,
 		Train:    true,
 		Seed:     1,
-	}
+	}}
 }
 
 type fixture struct {
@@ -188,5 +191,22 @@ func TestDeterminism(t *testing.T) {
 	r2, b2 := run()
 	if r1 != r2 || b1 != b2 {
 		t.Fatalf("non-deterministic: (%v,%d) vs (%v,%d)", r1, b1, r2, b2)
+	}
+}
+
+// ACC's builder reads a scenario through the same translation as PET's, so
+// the scenario's history depth and telemetry reach ACC's loop.
+func TestBenchScenarioReachesACC(t *testing.T) {
+	reg := telemetry.New()
+	env, err := bench.NewEnv(bench.Scenario{Scheme: bench.SchemeACC, HistoryK: 5, Seed: 1, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := env.Control.(*Controller).Config()
+	if cfg.HistoryK != 5 || cfg.ObsDim() != 30 {
+		t.Fatalf("HistoryK = %d, ObsDim = %d; want 5, 30", cfg.HistoryK, cfg.ObsDim())
+	}
+	if _, ok := reg.Snapshot().Gauges["pet_slot_reward"]; !ok {
+		t.Fatal("ACC's loop publishes no slot reward into the scenario's registry")
 	}
 }

@@ -1,22 +1,17 @@
 package acc
 
-import "pet/internal/bench"
+import (
+	"pet/internal/bench"
+	"pet/internal/core"
+)
 
 // Plug the ACC baseline into the bench scheme registry.
 
 func init() {
 	bench.RegisterScheme(bench.SchemeACC, func(e *bench.Env) (bench.ControlScheme, error) {
-		s := e.Scenario
 		return NewController(e.Net, Config{
-			Alpha:           bench.ControlAlpha,
-			Interval:        bench.ControlInterval,
-			Omega1:          s.Beta1,
-			Omega2:          s.Beta2,
-			ExplicitWeights: true, // bench.Scenario owns reward-weight defaulting
-			Train:           s.Train,
-			GlobalReplay:    true,
-			Seed:            s.Seed,
-			OnApply:         e.RecordECNChange,
+			AgentConfig:  core.ScenarioAgentConfig(e.Scenario, e.RecordECNChange),
+			GlobalReplay: true,
 		}), nil
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -229,6 +230,33 @@ func TestFig3Table(t *testing.T) {
 	out := tb.String()
 	if !strings.Contains(out, "WebSearch") || !strings.Contains(out, "DataMining") {
 		t.Fatal("Fig3 missing workloads")
+	}
+}
+
+// An ablation cell honours Runner.Seeds like a sweep cell: at Seeds 2 it is
+// the merge of the two single-seed runs of the same variant.
+func TestAblationCellAveragesSeeds(t *testing.T) {
+	two := quickRunner()
+	two.Seeds = 2
+	if _, err := two.AblationRewardBeta(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := two.Cell("beta/0.3")
+	if !ok {
+		t.Fatal("no beta/0.3 cell cached")
+	}
+	var singles []bench.Result
+	for _, seed := range []int64{two.Seed, two.Seed + 7919} {
+		one := quickRunner()
+		one.Seed = seed
+		if _, err := one.AblationRewardBeta(); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := one.Cell("beta/0.3")
+		singles = append(singles, res)
+	}
+	if want := bench.MergeResults(singles); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Seeds 2 cell = %+v\nwant the merge of its seeds = %+v", got.Overall, want.Overall)
 	}
 }
 

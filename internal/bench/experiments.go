@@ -141,7 +141,13 @@ func (r *Runner) pretrained(scheme Scheme, wl *workload.CDF) ([]byte, error) {
 // run executes (or recalls) the canonical run for a combination, averaging
 // across r.Seeds independent seeds.
 func (r *Runner) run(scheme Scheme, wl *workload.CDF, load float64) (Result, error) {
-	key := fmt.Sprintf("%s/%s/%.2f", scheme, wl.Name(), load)
+	return r.runCell(fmt.Sprintf("%s/%s/%.2f", scheme, wl.Name(), load), scheme, wl, load, nil)
+}
+
+// runCell executes (or recalls) one result cell under key: each of r.Seeds
+// seeds runs the canonical scenario for the combination, first edited by
+// adjust (nil = none), and the cell averages them.
+func (r *Runner) runCell(key string, scheme Scheme, wl *workload.CDF, load float64, adjust func(*Scenario)) (Result, error) {
 	if res, ok := r.cache[key]; ok {
 		return res, nil
 	}
@@ -156,6 +162,9 @@ func (r *Runner) run(scheme Scheme, wl *workload.CDF, load float64) (Result, err
 			return Result{}, err
 		}
 		s.Seed = r.Seed + int64(i)*7919
+		if adjust != nil {
+			adjust(&s)
+		}
 		r.progress("run %s seed %d/%d", key, i+1, n)
 		res, err := Run(s)
 		if err != nil {

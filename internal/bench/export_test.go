@@ -16,3 +16,9 @@ func (r *Runner) RunOne(scheme Scheme, wl *workload.CDF, load float64) (Result, 
 }
 
 func (r *Runner) CacheSize() int { return len(r.cache) }
+
+// Cell returns a cached result cell by its runner key.
+func (r *Runner) Cell(key string) (Result, bool) {
+	res, ok := r.cache[key]
+	return res, ok
+}

@@ -236,14 +236,15 @@ type ScenarioSpec struct {
 }
 
 // DecodeScenarioSpec parses a scenario document strictly: invalid JSON,
-// unknown keys and malformed values yield a *SpecError naming the JSON path.
+// unknown keys and malformed values yield a *SpecError naming the JSON path
+// (invalid JSON names the document root).
 // Semantic validation (registered names, ranges) happens in ToScenario, so
 // Decode∘Encode round-trips even for documents naming schemes that are not
 // registered in this process.
 func DecodeScenarioSpec(data []byte) (*ScenarioSpec, error) {
 	var tree any
 	if err := json.Unmarshal(data, &tree); err != nil {
-		return nil, fmt.Errorf("scenario spec: invalid JSON: %v", err)
+		return nil, specErr(rootedPath(""), "invalid JSON: %v", err)
 	}
 	if err := checkSpecTree(tree, specShape, ""); err != nil {
 		return nil, err
@@ -252,7 +253,7 @@ func DecodeScenarioSpec(data []byte) (*ScenarioSpec, error) {
 	if err := json.Unmarshal(data, &spec); err != nil {
 		// The shape check above catches everything encoding/json would
 		// reject; this is a belt-and-braces fallback.
-		return nil, fmt.Errorf("scenario spec: %v", err)
+		return nil, specErr(rootedPath(""), "%v", err)
 	}
 	if spec.Version > SpecVersion {
 		return nil, specErr("version", "document version %d is newer than this binary's %d", spec.Version, SpecVersion)

@@ -31,7 +31,7 @@ func (c Config) ActionToECN(acts []int) netsim.ECNConfig {
 
 // ECNToFeatures normalizes a queue configuration into the three state
 // components representing ECN^(c) in Eq. (2).
-func (c Config) ECNToFeatures(cfg netsim.ECNConfig) (kmin, kmax, pmax float64) {
+func (c AgentConfig) ECNToFeatures(cfg netsim.ECNConfig) (kmin, kmax, pmax float64) {
 	norm := c.maxThresholdBytes()
 	return float64(cfg.KminBytes) / norm, float64(cfg.KmaxBytes) / norm, cfg.Pmax
 }

@@ -22,9 +22,13 @@ import (
 	"pet/internal/topo"
 )
 
-// Config parameterizes a PET controller. Zero values take the paper's
-// published settings (Sec. 5.2).
-type Config struct {
+// AgentConfig is the switch-agent configuration every learned scheme
+// shares (PET, PET-CTDE and the ACC baseline): the action grid, the state
+// window, the loop's cadence and reward, and the run's plumbing. The
+// schemes differ only in state set and learning algorithm (Sec. 5.2), so
+// each scheme's Config embeds this and adds its learner's own knobs. Zero
+// values take the paper's published settings.
+type AgentConfig struct {
 	// Action discretization, Eq. (5): E(n) = Alpha · 2^n KB for n ∈ [0, NMax].
 	Alpha      float64 // scale parameter α, default 20 (paper); use smaller on scaled fabrics
 	NMax       int     // default 9
@@ -32,14 +36,8 @@ type Config struct {
 	PmaxLevels int     // default 20 (5%..100%)
 
 	// State construction, Eq. (2)–(3).
-	HistoryK   int     // time slots per observation, default 3
-	QlenNorm   float64 // bytes that map the queue-length feature to 1.0, default 256 KiB
-	IncastNorm float64 // incast degree that maps the incast feature to 1.0, default 32
-
-	// Fig. 9 ablation switches: drop the incast-degree and mice/elephant
-	// ratio states, reducing PET to ACC's state set.
-	DisableIncastState bool
-	DisableRatioState  bool
+	HistoryK int     // time slots per observation, default 3
+	QlenNorm float64 // bytes that map the queue-length feature to 1.0, default 256 KiB
 
 	// Tuning cadence: Δt between ECN reconfigurations (Sec. 4.2.2 requires
 	// Δt ≈ 10× RTT). Default 200 µs. Queue occupancy is sampled
@@ -59,11 +57,8 @@ type Config struct {
 	// all weight on one reward term.
 	ExplicitWeights bool
 
-	// Online incremental training (Sec. 4.4.2).
-	Train       bool
-	UpdateEvery int         // transitions per IPPO update, default 32
-	Explore     rl.ExpDecay // Eq. (13) decay of the exploration/clip rate
-	PPO         ppo.Config  // network/optimizer overrides (ObsDim/Heads are derived)
+	// Train enables online incremental training (Sec. 4.4.2).
+	Train bool
 
 	// NCM memory management (Sec. 4.5.1).
 	FlowTableMax    int      // threshold-cleanup bound, default 4096 entries
@@ -77,15 +72,16 @@ type Config struct {
 	// installs (for tracing/telemetry).
 	OnApply func(sw topo.NodeID, cfg netsim.ECNConfig)
 
-	// Telemetry, when non-nil, publishes per-update PPO optimization
-	// statistics from every agent (see ppo.Agent.SetTelemetry) plus the
-	// controller's slot-reward gauge. Observation-only.
+	// Telemetry, when non-nil, publishes the loop's slot-reward gauge and
+	// the learner's optimization statistics. Observation-only.
 	Telemetry *telemetry.Registry
 
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the unset fields with the paper's settings. It is the
+// one place the shared defaults are applied.
+func (c AgentConfig) WithDefaults() AgentConfig {
 	if c.Alpha == 0 {
 		c.Alpha = 20
 	}
@@ -104,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.QlenNorm == 0 {
 		c.QlenNorm = 256 << 10
 	}
-	if c.IncastNorm == 0 {
-		c.IncastNorm = 32
-	}
 	if c.Interval == 0 {
 		c.Interval = 200 * sim.Microsecond
 	}
@@ -119,6 +112,39 @@ func (c Config) withDefaults() Config {
 	if c.QrefBytes == 0 {
 		c.QrefBytes = 20 << 10
 	}
+	if c.FlowTableMax == 0 {
+		c.FlowTableMax = 4096
+	}
+	if c.CleanupInterval == 0 {
+		c.CleanupInterval = 4 * c.Interval
+	}
+	return c
+}
+
+// Config parameterizes a PET controller: the shared switch-agent settings
+// plus PET's state and IPPO knobs. Zero values take the paper's published
+// settings (Sec. 5.2).
+type Config struct {
+	AgentConfig
+
+	IncastNorm float64 // incast degree that maps the incast feature to 1.0, default 32
+
+	// Fig. 9 ablation switches: drop the incast-degree and mice/elephant
+	// ratio states, reducing PET to ACC's state set.
+	DisableIncastState bool
+	DisableRatioState  bool
+
+	// Online incremental training (Sec. 4.4.2).
+	UpdateEvery int         // transitions per IPPO update, default 32
+	Explore     rl.ExpDecay // Eq. (13) decay of the exploration/clip rate
+	PPO         ppo.Config  // network/optimizer overrides (ObsDim/Heads are derived)
+}
+
+func (c Config) withDefaults() Config {
+	c.AgentConfig = c.AgentConfig.WithDefaults()
+	if c.IncastNorm == 0 {
+		c.IncastNorm = 32
+	}
 	if c.UpdateEvery == 0 {
 		c.UpdateEvery = 32
 	}
@@ -126,12 +152,6 @@ func (c Config) withDefaults() Config {
 		// Paper: decay_rate 0.99, T = 50, applied to the clip/exploration
 		// parameter ε = 0.2.
 		c.Explore = rl.ExpDecay{Init: 0.2, Rate: 0.99, DecaySlot: 50, Floor: 0.02}
-	}
-	if c.FlowTableMax == 0 {
-		c.FlowTableMax = 4096
-	}
-	if c.CleanupInterval == 0 {
-		c.CleanupInterval = 4 * c.Interval
 	}
 	return c
 }
@@ -152,11 +172,11 @@ func (c Config) Heads() []int {
 }
 
 // thresholdBytes evaluates Eq. (5): E(n) = α·2^n KB.
-func (c Config) thresholdBytes(n int) int {
+func (c AgentConfig) thresholdBytes(n int) int {
 	return int(c.Alpha * math.Pow(2, float64(n)) * 1024)
 }
 
 // maxThresholdBytes is E(NMax), used to normalize threshold features.
-func (c Config) maxThresholdBytes() float64 {
+func (c AgentConfig) maxThresholdBytes() float64 {
 	return float64(c.thresholdBytes(c.NMax))
 }

@@ -24,7 +24,7 @@ type Controller struct {
 func NewController(net *netsim.Network, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg}
-	c.Loop = NewLoop(net, cfg, ppoLearner(cfg, &c.agents, c.decide))
+	c.Loop = NewLoop(net, cfg.AgentConfig, ppoLearner(cfg, &c.agents, c.decide))
 	return c
 }
 

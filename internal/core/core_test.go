@@ -19,7 +19,7 @@ func TestThresholdBytesEq5(t *testing.T) {
 	if got := c.thresholdBytes(9); got != 20*512*1024 {
 		t.Fatalf("E(9) = %d, want 10240 KB", got)
 	}
-	c2 := Config{Alpha: 2}.withDefaults()
+	c2 := Config{AgentConfig: AgentConfig{Alpha: 2}}.withDefaults()
 	if got := c2.thresholdBytes(3); got != 2*8*1024 {
 		t.Fatalf("α=2: E(3) = %d, want 16 KB", got)
 	}
@@ -115,12 +115,12 @@ func newFixture(t *testing.T, seed int64) *fixture {
 }
 
 func testConfig() Config {
-	return Config{
+	return Config{AgentConfig: AgentConfig{
 		Alpha:    2, // scaled fabric
 		Interval: 100 * sim.Microsecond,
 		Train:    true,
 		Seed:     1,
-	}
+	}}
 }
 
 func TestNCMObservesTrafficAndIncast(t *testing.T) {
@@ -134,7 +134,7 @@ func TestNCMObservesTrafficAndIncast(t *testing.T) {
 			leafPorts = append(leafPorts, p)
 		}
 	}
-	ncm := NewNCM(leafPorts, testConfig().withDefaults())
+	ncm := NewNCM(leafPorts, testConfig().withDefaults().AgentConfig)
 	for _, src := range []topo.NodeID{f.ls.Hosts[1], f.ls.Hosts[2], f.ls.Hosts[3]} {
 		f.tr.StartFlow(src, dst, 50_000, 0)
 	}
@@ -164,7 +164,7 @@ func TestNCMElephantRatio(t *testing.T) {
 			ports = append(ports, p)
 		}
 	}
-	ncm := NewNCM(ports, testConfig().withDefaults())
+	ncm := NewNCM(ports, testConfig().withDefaults().AgentConfig)
 	f.tr.StartFlow(f.ls.Hosts[1], dst, 3<<20, 0)  // elephant
 	f.tr.StartFlow(f.ls.Hosts[2], dst, 50_000, 0) // mouse
 	f.eng.RunUntil(4 * sim.Millisecond)           // elephant passes 1MB cumulative
@@ -188,7 +188,7 @@ func TestNCMCleanupExpiresFlows(t *testing.T) {
 		}
 	}
 	cfg := testConfig().withDefaults()
-	ncm := NewNCM(ports, cfg)
+	ncm := NewNCM(ports, cfg.AgentConfig)
 	f.tr.StartFlow(f.ls.Hosts[1], dst, 10_000, 0)
 	f.eng.RunUntil(sim.Millisecond)
 	if ncm.FlowTableSize() != 1 {
@@ -219,7 +219,7 @@ func TestNCMThresholdCleanupBoundsMemory(t *testing.T) {
 	}
 	cfg := testConfig().withDefaults()
 	cfg.FlowTableMax = 16
-	ncm := NewNCM(ports, cfg)
+	ncm := NewNCM(ports, cfg.AgentConfig)
 	// Burst of 100 distinct single-packet flows.
 	for i := 0; i < 100; i++ {
 		src := f.ls.Hosts[1+i%3]
@@ -434,7 +434,7 @@ func TestNCMQueueSampling(t *testing.T) {
 			ports = append(ports, p)
 		}
 	}
-	ncm := NewNCM(ports, testConfig().withDefaults())
+	ncm := NewNCM(ports, testConfig().withDefaults().AgentConfig)
 	// No samples: average falls back to zero, end-of-slot is instantaneous.
 	feat := ncm.RollSlot()
 	if feat.QAvgBytes != 0 {

@@ -40,7 +40,7 @@ type CTDEController struct {
 func NewCTDEController(net *netsim.Network, cfg Config) *CTDEController {
 	cfg = cfg.withDefaults()
 	c := &CTDEController{cfg: cfg}
-	c.Loop = NewLoop(net, cfg, ppoLearner(cfg, &c.agents, c.decide))
+	c.Loop = NewLoop(net, cfg.AgentConfig, ppoLearner(cfg, &c.agents, c.decide))
 	jointDim := cfg.ObsDim() * len(c.agents)
 	c.critic = ppo.NewCritic(jointDim, cfg.PPO.Hidden, cfg.PPO.CriticLR, rng.New(cfg.Seed).Split("critic").Seed())
 	return c

@@ -94,7 +94,7 @@ type Learner struct {
 // agent: a switch's apply touches only its own ports, and no simulation
 // event fires inside a tick.
 type Loop struct {
-	cfg      Config
+	cfg      AgentConfig
 	net      *netsim.Network
 	learner  Learner
 	switches []*SwitchState
@@ -113,7 +113,7 @@ type Loop struct {
 // reads cfg's cadence (Interval, QueueSampleDiv, CleanupInterval), Class,
 // HistoryK, reward weights, OnApply and Telemetry; cfg must already carry
 // its defaults.
-func NewLoop(net *netsim.Network, cfg Config, learner Learner) *Loop {
+func NewLoop(net *netsim.Network, cfg AgentConfig, learner Learner) *Loop {
 	byOwner := make(map[topo.NodeID][]*netsim.Port)
 	for _, p := range net.SwitchPorts() {
 		byOwner[p.Owner()] = append(byOwner[p.Owner()], p)

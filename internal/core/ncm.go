@@ -18,7 +18,7 @@ import (
 //     during traffic bursts.
 type NCM struct {
 	ports []*netsim.Port
-	cfg   Config
+	cfg   AgentConfig
 
 	// Flow table for the computation/analysis role.
 	flows    map[netsim.FlowID]*flowEntry
@@ -54,14 +54,8 @@ type SlotFeatures struct {
 }
 
 // NewNCM builds a monitor over the given egress ports and registers its
-// packet-header tap.
-func NewNCM(ports []*netsim.Port, cfg Config) *NCM {
-	if cfg.FlowTableMax == 0 {
-		cfg.FlowTableMax = 4096
-	}
-	if cfg.HistoryK == 0 {
-		cfg.HistoryK = 3
-	}
+// packet-header tap. cfg must already carry its defaults.
+func NewNCM(ports []*netsim.Port, cfg AgentConfig) *NCM {
 	m := &NCM{
 		ports:         ports,
 		cfg:           cfg,

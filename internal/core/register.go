@@ -41,26 +41,34 @@ var benchTrainKnobs = struct {
 	},
 }
 
-// benchConfig translates a bench scenario into the PET controller
-// configuration shared by the DTDE and CTDE variants and the serving agents
-// of NewInferenceAgents; onApply (nil ok) observes every installed
-// configuration.
+// ScenarioAgentConfig is the one translation of a bench scenario into the
+// switch-agent settings every learned scheme shares; the PET, PET-ablated,
+// PET-CTDE and ACC builders and NewInferenceAgents all start from it.
+// onApply (nil ok) observes every installed configuration.
+func ScenarioAgentConfig(s bench.Scenario, onApply func(topo.NodeID, netsim.ECNConfig)) AgentConfig {
+	return AgentConfig{
+		OnApply:         onApply,
+		Alpha:           bench.ControlAlpha,
+		Interval:        bench.ControlInterval,
+		Beta1:           s.Beta1,
+		Beta2:           s.Beta2,
+		ExplicitWeights: true, // bench.Scenario owns reward-weight defaulting
+		Train:           s.Train,
+		HistoryK:        s.HistoryK,
+		Seed:            s.Seed,
+		Telemetry:       s.Telemetry,
+	}
+}
+
+// benchConfig adds PET's own bench settings — the Fig. 9 state ablation
+// and the training budget — to the scenario's shared settings.
 func benchConfig(s bench.Scenario, onApply func(topo.NodeID, netsim.ECNConfig)) Config {
 	return Config{
-		OnApply:            onApply,
-		Alpha:              bench.ControlAlpha,
-		Interval:           bench.ControlInterval,
-		Beta1:              s.Beta1,
-		Beta2:              s.Beta2,
-		ExplicitWeights:    true, // bench.Scenario owns reward-weight defaulting
-		Train:              s.Train,
-		HistoryK:           s.HistoryK,
-		Seed:               s.Seed,
+		AgentConfig:        ScenarioAgentConfig(s, onApply),
 		DisableIncastState: s.Scheme == bench.SchemePETAblated,
 		DisableRatioState:  s.Scheme == bench.SchemePETAblated,
 		UpdateEvery:        benchTrainKnobs.UpdateEvery,
 		PPO:                benchTrainKnobs.PPO,
-		Telemetry:          s.Telemetry,
 	}
 }
 

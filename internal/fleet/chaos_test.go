@@ -300,7 +300,8 @@ func TestPretrainContextCancelWritesFinalCheckpoint(t *testing.T) {
 }
 
 // The acceptance scenario end to end: a worker panics at round 1, hangs
-// past the episode deadline at round 3, exhausts its retries at round 4
+// past a plan-set deadline at round 3 (a FaultStraggle: no wall-clock
+// timer, so no healthy attempt can straggle), exhausts its retries at round 4
 // (degraded quorum merge), and the newest bundle is corrupted on disk
 // before resume. Training completes with exactly one degraded round, and
 // two runs of the same FaultPlan and seed are byte-identical.
@@ -312,15 +313,14 @@ func TestChaosEndToEndDeterministic(t *testing.T) {
 		plan := &FaultPlan{
 			Episodes: []Fault{
 				{Round: 1, Worker: 0, Attempt: 0, Kind: FaultPanic},
-				{Round: 3, Worker: 1, Attempt: 0, Kind: FaultHang},
+				{Round: 3, Worker: 1, Attempt: 0, Kind: FaultStraggle},
 				{Round: 4, Worker: 1, Attempt: 0, Kind: FaultFail},
 				{Round: 4, Worker: 1, Attempt: 1, Kind: FaultFail},
 			},
 		}
 		cfg := Config{
 			Workers: 2, Rounds: 2, Episode: trainEpisode,
-			MaxRetries: 1, RetryBackoff: time.Millisecond,
-			EpisodeTimeout: 2 * time.Second, MinQuorum: 1,
+			MaxRetries: 1, RetryBackoff: time.Millisecond, MinQuorum: 1,
 			Checkpoint: dir, Faults: plan,
 		}
 		// Phase 1: rounds 0–1 (panic at round 1 retried); then the round-2
@@ -330,8 +330,8 @@ func TestChaosEndToEndDeterministic(t *testing.T) {
 		}
 		corruptRound(t, dir, 2)
 		// Phase 2: resume. The corrupt bundle forces fallback to round 1,
-		// then rounds 1–4 rerun through the panic, the hang past the
-		// deadline, and the degraded round 4.
+		// then rounds 1–4 rerun through the panic, the straggler, and the
+		// degraded round 4.
 		cfg.Rounds, cfg.Resume = 5, true
 		res, err := Pretrain(s, cfg)
 		if err != nil {

@@ -24,6 +24,11 @@ const (
 	// It requires Config.EpisodeTimeout or an externally cancelled run
 	// context; with neither, the attempt blocks forever.
 	FaultHang
+	// FaultStraggle is a hang whose deadline is already past: the attempt
+	// is cut, counted and retried as a straggler at once. The plan, not a
+	// wall-clock timer, decides it, so healthy attempts on a loaded host
+	// never straggle and EpisodeTimeout may stay unbounded.
+	FaultStraggle
 )
 
 func (k FaultKind) String() string {
@@ -34,6 +39,8 @@ func (k FaultKind) String() string {
 		return "panic"
 	case FaultHang:
 		return "hang"
+	case FaultStraggle:
+		return "straggle"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}

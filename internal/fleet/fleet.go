@@ -279,9 +279,13 @@ func sleepContext(ctx context.Context, d time.Duration) bool {
 // straggler flag reports an attempt cancelled by its own deadline (not by
 // run-level cancellation).
 func runAttempt(ctx context.Context, s bench.Scenario, cfg Config, tm fleetMetrics, j job, attempt int) (st bench.EpisodeStats, straggler bool, err error) {
+	fault := cfg.Faults.episodeFault(j.round, j.worker, attempt)
 	actx := ctx
 	cancel := func() {}
-	if cfg.EpisodeTimeout > 0 {
+	switch {
+	case fault == FaultStraggle:
+		actx, cancel = context.WithDeadline(ctx, time.Time{}) // already past
+	case cfg.EpisodeTimeout > 0:
 		actx, cancel = context.WithTimeout(ctx, cfg.EpisodeTimeout)
 	}
 	defer cancel()
@@ -299,12 +303,12 @@ func runAttempt(ctx context.Context, s bench.Scenario, cfg Config, tm fleetMetri
 			tm.stragglerSec.Observe(elapsed)
 		}
 	}()
-	switch cfg.Faults.episodeFault(j.round, j.worker, attempt) {
+	switch fault {
 	case FaultFail:
 		return st, false, errors.New("fleet: injected episode failure")
 	case FaultPanic:
 		panic("fleet: injected episode panic")
-	case FaultHang:
+	case FaultHang, FaultStraggle:
 		<-actx.Done()
 		return st, false, fmt.Errorf("fleet: injected hang: %w", actx.Err())
 	}

@@ -33,8 +33,9 @@ func PaperScale() LeafSpineConfig {
 	}
 }
 
-// SmallScale is a laptop-friendly fabric preserving the paper's shape: the
-// 4:1 uplink:host speed ratio and 2:1 host:uplink port oversubscription.
+// SmallScale is a laptop-friendly fabric keeping the paper's 4:1
+// uplink:host speed ratio; its uplinks carry twice the host capacity (the
+// paper's leaf is 1:1, which MediumScale keeps).
 func SmallScale() LeafSpineConfig {
 	return LeafSpineConfig{
 		Spines:       2,

@@ -86,11 +86,12 @@ func BuildLeafSpine(cfg topo.LeafSpineConfig) *topo.LeafSpine { return topo.Buil
 // PaperScale returns the paper's 288-host, 6-spine/12-leaf fabric.
 func PaperScale() topo.LeafSpineConfig { return topo.PaperScale() }
 
-// SmallScale returns a 16-host fabric preserving the paper's shape.
+// SmallScale returns a 16-host fabric with the paper's 4:1 uplink:host speed
+// ratio.
 func SmallScale() topo.LeafSpineConfig { return topo.SmallScale() }
 
-// TinyScale returns the smallest multi-path fabric (8 hosts), used by the
-// default benchmarks.
+// TinyScale returns the smallest multi-path fabric (4 hosts: 2 leaves × 2),
+// used by the default benchmarks.
 func TinyScale() topo.LeafSpineConfig { return topo.TinyScale() }
 
 // TopoPresets lists the preset names, smallest fabric first.
@@ -137,6 +138,9 @@ type (
 	Controller = core.Controller
 	// ControllerConfig parameterizes PET (defaults follow Sec. 5.2).
 	ControllerConfig = core.Config
+	// AgentConfig holds the switch-agent settings ControllerConfig embeds:
+	// action grid, state window, cadence, reward, class and seed.
+	AgentConfig = core.AgentConfig
 )
 
 // NewController builds the PET controller: one IPPO agent per switch.

@@ -34,7 +34,7 @@ func TestPublicAPILowLevel(t *testing.T) {
 	ls := pet.BuildLeafSpine(pet.TinyScale())
 	net := pet.NewNetwork(eng, ls, 7, pet.NetworkConfig{BufferPerQueue: 4 << 20})
 	tr := pet.NewTransport(net, pet.TransportConfig{})
-	ctl := pet.NewController(net, pet.ControllerConfig{Alpha: 2, Train: true, Interval: 100 * pet.Microsecond})
+	ctl := pet.NewController(net, pet.ControllerConfig{AgentConfig: pet.AgentConfig{Alpha: 2, Train: true, Interval: 100 * pet.Microsecond}})
 	ctl.Start()
 
 	done := 0
