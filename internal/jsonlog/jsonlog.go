@@ -49,8 +49,10 @@ func Append(path string, v any) error {
 // nothing. The final line failing to decode is the crash-mid-append tear:
 // it is dropped, and cut off the file so the next Append starts on a fresh
 // line instead of gluing itself to the fragment. An undecodable earlier
-// line returns an error wrapping ErrCorrupt. An error from fn stops the
-// replay and is returned as-is, so callers keep their own typed errors.
+// line returns an error wrapping ErrCorrupt. A final line that decodes but
+// lost its newline to the tear is finished with one, for the same reason.
+// An error from fn stops the replay and is returned as-is, so callers keep
+// their own typed errors.
 func Replay[T any](path string, fn func(line int, v T) error) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -84,6 +86,19 @@ func Replay[T any](path string, fn func(line int, v T) error) error {
 		}
 		if err := fn(i+1, v); err != nil {
 			return err
+		}
+	}
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			return fmt.Errorf("jsonlog: finishing last line: %w", err)
+		}
+		_, err = f.Write([]byte("\n"))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("jsonlog: finishing last line: %w", err)
 		}
 	}
 	return nil

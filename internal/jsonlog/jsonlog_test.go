@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,4 +139,70 @@ func TestJournalLogBlankLinesSkipped(t *testing.T) {
 	if err != nil || len(got) != 2 {
 		t.Fatalf("got %d records (err %v), want 2", len(got), err)
 	}
+}
+
+// TestJournalLogTornNewline: a tear just before the final newline leaves a
+// whole last record. Replay keeps it and finishes its line, so appends after
+// the recovery land on lines of their own instead of gluing onto it — which
+// would lose both records on the next replay, or turn them into mid-log
+// damage once one more append follows.
+func TestJournalLogTornNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.log")
+	if err := os.WriteFile(path, []byte("{\"n\":1}\n{\"n\":2}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := replayAll(t, path)
+	if err != nil || len(got) != 2 || got[1].N != 2 {
+		t.Fatalf("replay of an unfinished last line: %+v, err %v; want records 1 and 2", got, err)
+	}
+	for i := 3; i <= 4; i++ {
+		if err := Append(path, rec{N: i}); err != nil {
+			t.Fatal(err)
+		}
+		got, err = replayAll(t, path)
+		if err != nil || len(got) != i || got[i-1].N != i {
+			t.Fatalf("after appending record %d: %+v, err %v; want records 1 to %d", i, got, err, i)
+		}
+	}
+}
+
+// FuzzReplay: whatever bytes a log holds, Replay either fails with
+// ErrCorrupt or succeeds without panicking; and after a successful replay an
+// Append followed by another replay yields the same records plus the new one.
+func FuzzReplay(f *testing.F) {
+	for _, seed := range []string{
+		"{\"n\":1}\n{\"n\":2,\"name\":\"b\"}\n", // valid log
+		"{\"n\":1}\n{\"n\":2}\n{\"n\":3,\"na",   // torn tail
+		"{\"n\":1}\n{\"n\":2}",                  // torn just before the newline
+		"{\"n\":1}\ngarbage\n{\"n\":3}\n",       // mid-history garbage
+		"\n{\"n\":1}\n\n  \n{\"n\":2}\n\n",      // blank lines
+		"{\"n\":1}\r\n{\"n\":2}\r\n{\"n\":3}\r", // CRLF
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "x.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, err := replayAll(t, path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Replay error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		added := rec{N: -7, Name: "appended"}
+		if err := Append(path, added); err != nil {
+			t.Fatal(err)
+		}
+		after, err := replayAll(t, path)
+		if err != nil {
+			t.Fatalf("replay after Append: %v", err)
+		}
+		if want := append(before, added); !slices.Equal(after, want) {
+			t.Fatalf("after Append replayed %+v, want %+v", after, want)
+		}
+	})
 }

@@ -249,6 +249,51 @@ func TestJournalTearFault(t *testing.T) {
 	}
 }
 
+// TestJournalTearBeforeNewline tears the journal one byte short: the final
+// entry is whole but its newline is gone. Replay keeps the entry and
+// finishes the line, so the transitions recorded after this boot survive
+// the next one instead of gluing onto it and being cut as a torn tail (or,
+// two appends later, failing the boot as mid-history corruption).
+func TestJournalTearBeforeNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	spec := quickRunSpec()
+	jl, err := OpenJournal(path, t.Logf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Record("exp-000001", StatePending, &spec, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Record("exp-000001", StateRunning, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn, err := OpenJournal(path, t.Logf, &FaultPlan{JournalTearAfter: fi.Size() - 1})
+	if err != nil {
+		t.Fatalf("journal torn before its last newline must replay: %v", err)
+	}
+	if jobs := torn.Replayed(); len(jobs) != 1 || jobs[0].State != StateRunning {
+		t.Fatalf("replay after tear = %+v, want one running job", jobs)
+	}
+	if err := torn.Record("exp-000001", StateDone, nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := torn.Record("exp-000002", StatePending, &spec, ""); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenJournal(path, t.Logf, nil)
+	if err != nil {
+		t.Fatalf("reboot after appending past the tear: %v", err)
+	}
+	jobs := reopened.Replayed()
+	if len(jobs) != 2 || jobs[0].State != StateDone || jobs[1].State != StatePending {
+		t.Fatalf("replay after appending past the tear = %+v, want exp-000001 done and exp-000002 pending", jobs)
+	}
+}
+
 // --- Restart-resume ---------------------------------------------------------
 
 // TestJournalRestartResume simulates a daemon death in-process: the journal

@@ -81,3 +81,42 @@ func TestTickerZeroAllocsPerTick(t *testing.T) {
 		t.Fatal("ticker never ticked")
 	}
 }
+
+// A re-arm that crosses the queue's tiers — a 1 ms timer lands in the far
+// heap, a 1 µs one in the ring — must cancel allocation-free as well.
+func TestScheduleCancelAcrossTiersZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(Millisecond, fn).Cancel()
+		e.After(Microsecond, fn).Cancel()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		far := e.After(Millisecond, fn)
+		near := e.After(Microsecond, fn)
+		far.Cancel()
+		near.Cancel()
+	})
+	if allocs != 0 {
+		t.Fatalf("cross-tier schedule+cancel allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// A ticker whose period exceeds the ring span re-arms through the far heap
+// every tick, still without allocating.
+func TestFarTickerZeroAllocsPerTick(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	period := 3 * ringSpan
+	NewTicker(e, period, func(Time) { n++ })
+	e.RunUntil(8 * period) // warm freelist
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("far ticker tick allocates %.1f per op, want 0", allocs)
+	}
+	if n < 200 {
+		t.Fatalf("ticker ticked %d times, want >= 200", n)
+	}
+}

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // An event is a callback scheduled at a virtual time. seq breaks ties so that
 // events scheduled first at the same instant run first (deterministic order).
 //
@@ -18,7 +16,13 @@ type event struct {
 	arg       any
 	gen       uint64
 	cancelled bool
-	index     int // heap index; -1 once popped, -2 while on the freelist
+
+	// Queue links (queue.go): tier names the structure holding the event,
+	// index is its slot in the active or far heap, and next/prev link it
+	// into its ring bucket.
+	tier       tier
+	index      int
+	next, prev *event
 
 	// Birth metadata for the sharded comparator. birthAt is the engine
 	// clock when the event was scheduled and birthLane the scheduling
@@ -47,11 +51,11 @@ type Handle struct {
 // Cancel on a zero Handle.
 func (h Handle) Cancel() {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.index < 0 {
+	if ev == nil || ev.gen != h.gen || ev.tier == tierNone {
 		return
 	}
 	ev.cancelled = true
-	heap.Remove(&h.eng.events, ev.index)
+	h.eng.q.remove(ev)
 	h.eng.release(ev)
 }
 
@@ -62,14 +66,14 @@ func (h Handle) Cancelled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.cancelled
 }
 
-type eventHeap []*event
-
 // eventLess is the engine's total event order: fire time, then birth time,
 // then birth lane, then per-lane schedule order. For a single engine this
 // collapses to the historical (at, seq) order — schedule calls happen at a
 // nondecreasing clock on one lane, so seq order implies (birthAt, birthLane,
 // seq) order — while giving lanes of a ShardedEngine a tie-break that does
-// not depend on how far each lane's counter has advanced.
+// not depend on how far each lane's counter has advanced. It is the only
+// definition of the order: the queue's heaps and ShardedEngine.runBarrier's
+// merge both compare with it.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -83,34 +87,12 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; model-level parallelism belongs above the engine (e.g. one
 // engine per independent replica, run on separate goroutines).
 type Engine struct {
 	now     Time
-	events  eventHeap
+	q       eventQueue
 	free    []*event // recycled event structs; steady state schedules allocation-free
 	seq     uint64
 	stopped bool
@@ -126,7 +108,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events waiting to fire. Cancelled events are
 // removed eagerly and never counted.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.Len() }
 
 // Fired returns the total number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -152,7 +134,6 @@ func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.afn = nil
 	ev.arg = nil
-	ev.index = -2
 	e.free = append(e.free, ev)
 }
 
@@ -169,7 +150,7 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Handle {
 	ev.birthAt = e.now
 	ev.birthLane = e.lane
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.q.push(ev)
 	return Handle{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -206,27 +187,22 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) Handle {
 // Step runs the earliest pending event and returns true, or returns false if
 // no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.cancelled {
-			// Cancel removes eagerly; this only guards legacy states.
-			e.release(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		// Copy the callback and recycle the struct before running it, so
-		// events scheduled by the callback can reuse it immediately.
-		fn, afn, arg := ev.fn, ev.afn, ev.arg
-		e.release(ev)
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
+	ev := e.q.pop()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.now = ev.at
+	e.fired++
+	// Copy the callback and recycle the struct before running it, so
+	// events scheduled by the callback can reuse it immediately.
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	e.release(ev)
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
+	return true
 }
 
 // RunUntil processes every event with timestamp <= t, then advances the
@@ -234,12 +210,8 @@ func (e *Engine) Step() bool {
 // as long as they fall within the horizon.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > t {
+	for !e.stopped {
+		if next := e.peek(); next == nil || next.at > t {
 			break
 		}
 		e.Step()
@@ -259,14 +231,9 @@ func (e *Engine) Run() {
 // Stop makes the current Run or RunUntil return after the in-flight event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// peek returns the earliest pending event without removing it. Cancelled
-// events never reach the heap (Cancel removes eagerly), so the top is live.
-func (e *Engine) peek() *event {
-	if len(e.events) > 0 {
-		return e.events[0]
-	}
-	return nil
-}
+// peek returns the earliest pending event without removing it, or nil.
+// Cancel removes eagerly, so the event is live.
+func (e *Engine) peek() *event { return e.q.peek() }
 
 // runBefore processes every event with timestamp strictly before h, then
 // advances the clock to exactly h. This is the sharded epoch primitive:
@@ -274,7 +241,10 @@ func (e *Engine) peek() *event {
 // mailbox handoffs landing exactly on an epoch boundary are injected before
 // anything at that timestamp runs.
 func (e *Engine) runBefore(h Time) {
-	for len(e.events) > 0 && e.events[0].at < h {
+	for {
+		if next := e.peek(); next == nil || next.at >= h {
+			break
+		}
 		e.Step()
 	}
 	if e.now < h {
@@ -298,5 +268,5 @@ func (e *Engine) inject(at, birthAt Time, birthLane int32, seq uint64, afn func(
 	ev.arg = arg
 	ev.birthAt = birthAt
 	ev.birthLane = birthLane
-	heap.Push(&e.events, ev)
+	e.q.push(ev)
 }
