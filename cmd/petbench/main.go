@@ -10,7 +10,8 @@
 //	petbench -telemetry :8080         # watch progress on /metrics meanwhile
 //	petbench -list-schemes            # registered scheme names
 //
-// Experiments: fig3 fig4 fig5 fig6 fig7 fig8 fig9 table1 overhead historyk beta
+// Experiments, in the order -exp all runs them: fig3 fig4 fig5 fig6 fig7
+// fig8 fig9 table1 overhead historyk beta dynamic ctde compat
 //
 // -scenario skips the paper catalog and instead executes one declarative
 // scenario document (the same JSON petsim and petd accept), rendering the
@@ -26,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,56 +136,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r.Duration = 15 * pet.Millisecond
 	}
 
-	one := func(f func() (*pet.Table, error)) func() ([]*pet.Table, error) {
-		return func() ([]*pet.Table, error) {
-			t, err := f()
-			if err != nil {
-				return nil, err
-			}
-			return []*pet.Table{t}, nil
-		}
-	}
-	type experiment struct {
-		name string
-		run  func() ([]*pet.Table, error)
-	}
-	catalog := []experiment{
-		{"fig3", func() ([]*pet.Table, error) { return []*pet.Table{r.Fig3()}, nil }},
-		{"fig4", r.Fig4},
-		{"fig5", r.Fig5},
-		{"fig6", r.Fig6},
-		{"fig7", one(r.Fig7)},
-		{"fig8", one(r.Fig8)},
-		{"fig9", one(r.Fig9)},
-		{"table1", one(r.Table1)},
-		{"overhead", one(r.AblationReplayOverhead)},
-		{"historyk", one(r.AblationHistoryK)},
-		{"beta", one(r.AblationRewardBeta)},
-		{"dynamic", one(r.DynamicBaselines)},
-		{"ctde", one(r.AblationCTDE)},
-		{"compat", one(r.TransportCompat)},
-	}
-
-	want := map[string]bool{}
+	selected := pet.Exhibits()
 	if *exps != "all" {
+		want := map[string]bool{}
 		for _, e := range strings.Split(*exps, ",") {
 			want[strings.TrimSpace(e)] = true
 		}
-		known := map[string]bool{}
-		for _, e := range catalog {
-			known[e.name] = true
+		selected = slices.DeleteFunc(selected, func(e pet.Exhibit) bool { return !want[e.Name] })
+		for _, e := range selected {
+			delete(want, e.Name)
 		}
 		for e := range want {
-			if !known[e] {
-				return fatalf(2, "unknown experiment %q", e)
-			}
-		}
-	}
-
-	selected := make([]experiment, 0, len(catalog))
-	for _, e := range catalog {
-		if *exps == "all" || want[e.name] {
-			selected = append(selected, e)
+			return fatalf(2, "unknown experiment %q", e)
 		}
 	}
 
@@ -201,22 +165,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			remaining := time.Since(sweepStart) / time.Duration(k) * time.Duration(len(selected)-k)
 			eta = fmt.Sprintf(", ETA %v", remaining.Round(time.Second))
 		}
-		fmt.Fprintf(stderr, "[%d/%d] %s%s\n", k+1, len(selected), e.name, eta)
+		fmt.Fprintf(stderr, "[%d/%d] %s%s\n", k+1, len(selected), e.Name, eta)
 		start := time.Now()
-		tables, err := e.run()
+		tables, err := e.Tables(r)
 		if err != nil {
-			return fatalf(1, "%s: %v", e.name, err)
+			return fatalf(1, "%s: %v", e.Name, err)
 		}
 		for i, tb := range tables {
 			fmt.Fprintln(stdout, tb)
 			if *csvDir != "" {
-				path := fmt.Sprintf("%s/%s_%d.csv", *csvDir, e.name, i)
+				path := fmt.Sprintf("%s/%s_%d.csv", *csvDir, e.Name, i)
 				if err := os.WriteFile(path, []byte(tb.CSV()), 0o644); err != nil {
 					return fatalf(1, "%v", err)
 				}
 			}
 		}
-		fmt.Fprintf(stderr, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

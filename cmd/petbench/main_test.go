@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pet"
 )
 
 func TestScenarioBadSpecExit2(t *testing.T) {
@@ -88,5 +90,32 @@ func TestCannedScenarioLibraryLoads(t *testing.T) {
 				t.Fatalf("no table rendered:\n%s", out.String())
 			}
 		})
+	}
+}
+
+// The package doc lists every experiment, in the order -exp all runs them.
+func TestDocListsEveryExhibit(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, doc, _ := strings.Cut(string(src), "// Experiments, in the order -exp all runs them:")
+	doc, _, _ = strings.Cut(doc, "\n//\n")
+	var names []string
+	for _, e := range pet.Exhibits() {
+		names = append(names, e.Name)
+	}
+	if got, want := strings.Fields(strings.ReplaceAll(doc, "//", "")), names; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("doc lists %v\nExhibits() = %v", got, want)
+	}
+}
+
+func TestUnknownExperimentExit2(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "fig3,nope"}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), `unknown experiment "nope"`) || out.Len() != 0 {
+		t.Fatalf("stdout %q, stderr %q", out.String(), errb.String())
 	}
 }

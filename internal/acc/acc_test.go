@@ -30,7 +30,7 @@ type fixture struct {
 	gen *workload.Generator
 }
 
-func newFixture(t *testing.T, seed int64) *fixture {
+func newFixture(t testing.TB, seed int64) *fixture {
 	t.Helper()
 	eng := sim.NewEngine()
 	ls := topo.BuildLeafSpine(topo.TinyScale())

@@ -14,7 +14,6 @@ import (
 
 	"pet/internal/bench"
 	"pet/internal/sim"
-	"pet/internal/workload"
 
 	// Register every scheme and transport the harness tests exercise.
 	_ "pet/internal/acc"
@@ -209,12 +208,12 @@ func TestLinkFailureEventDisruptsAndRecovers(t *testing.T) {
 
 func TestRunnerCachesRuns(t *testing.T) {
 	r := quickRunner()
-	ws := workload.WebSearch()
-	if _, err := r.RunOne(bench.SchemeSECN1, ws, 0.5); err != nil {
+	cell := r.SweepCell(bench.SchemeSECN1, "websearch", 0.5)
+	if _, err := r.RunCell(cell); err != nil {
 		t.Fatal(err)
 	}
 	n := r.CacheSize()
-	if _, err := r.RunOne(bench.SchemeSECN1, ws, 0.5); err != nil {
+	if _, err := r.RunCell(cell); err != nil {
 		t.Fatal(err)
 	}
 	if r.CacheSize() != n {
@@ -241,9 +240,10 @@ func TestAblationCellAveragesSeeds(t *testing.T) {
 	if _, err := two.AblationRewardBeta(); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := two.Cell("beta/0.3")
+	betaCell := func(r *bench.Runner) bench.Cell { return exhibit(t, "beta").Cells(r)[0] }
+	got, ok := two.Cached(betaCell(two))
 	if !ok {
-		t.Fatal("no beta/0.3 cell cached")
+		t.Fatal("no β 0.3/0.7 cell cached")
 	}
 	var singles []bench.Result
 	for _, seed := range []int64{two.Seed, two.Seed + 7919} {
@@ -252,7 +252,7 @@ func TestAblationCellAveragesSeeds(t *testing.T) {
 		if _, err := one.AblationRewardBeta(); err != nil {
 			t.Fatal(err)
 		}
-		res, _ := one.Cell("beta/0.3")
+		res, _ := one.Cached(betaCell(one))
 		singles = append(singles, res)
 	}
 	if want := bench.MergeResults(singles); !reflect.DeepEqual(got, want) {

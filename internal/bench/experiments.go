@@ -1,18 +1,18 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"pet/internal/sim"
 	"pet/internal/stats"
 	"pet/internal/telemetry"
 	"pet/internal/topo"
-	"pet/internal/workload"
 )
 
 // Runner regenerates the paper's tables and figures. Results are cached by
-// (scheme, workload, load) so experiments sharing a sweep (Fig. 4 and
-// Fig. 8, for instance) pay for each simulation once.
+// cell document (see Cell), so exhibits sharing a cell (Fig. 4 and Fig. 8,
+// for instance) pay for each simulation once.
 //
 // The fabric is a scaled-down leaf-spine (see DESIGN.md): absolute numbers
 // shrink with the topology, but the comparisons — who wins, by roughly what
@@ -46,8 +46,8 @@ type Runner struct {
 	// real work. CLIs point it at stderr to narrate long sweeps.
 	Progress func(msg string)
 
-	cache     map[string]Result
-	petModels map[string][]byte
+	cache   map[string]Result
+	bundles map[string][]byte
 }
 
 // progress reports one unit of upcoming work to the Progress hook, if any.
@@ -70,107 +70,144 @@ func NewRunner() *Runner {
 		IncastFraction: 0.2,
 		IncastFanIn:    3,
 		cache:          map[string]Result{},
-		petModels:      map[string][]byte{},
+		bundles:        map[string][]byte{},
 	}
 }
 
-// scenario builds the canonical scenario for one (scheme, workload, load).
-func (r *Runner) scenario(scheme Scheme, wl *workload.CDF, load float64) (Scenario, error) {
-	b1, b2 := defaultBetas(wl)
-	s := Scenario{
-		Topo:           r.Topo,
+// Cell is one result cell of an exhibit: a scenario document, plus whether
+// its learned scheme starts from the runner's pretrained bundle. Spec.Name
+// labels the cell in progress lines; labels are not part of its identity.
+type Cell struct {
+	Spec       ScenarioSpec
+	Pretrained bool
+}
+
+// key names the cell in the runner's cache: the sha256 of its canonical
+// document with the labels cleared, so two exhibits asking for the same run
+// share it, plus the pretrained bit.
+func (c Cell) key() (string, error) {
+	doc := c.Spec
+	doc.Name, doc.Notes = "", ""
+	b, err := doc.Encode()
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%x/%t", sha256.Sum256(b), c.Pretrained), nil
+}
+
+// simDur returns t as a document duration.
+func simDur(t sim.Time) *SimDuration {
+	d := SimDuration(t)
+	return &d
+}
+
+// base is the document every cell overlays: the runner's fabric, seed,
+// incast mix, windows and shards, on the DCQCN transport, all written out.
+func (r *Runner) base() ScenarioSpec {
+	c := r.Topo
+	return ScenarioSpec{
+		Topo: &TopoSpec{
+			Spines: c.Spines, Leaves: c.Leaves, HostsPerLeaf: c.HostsPerLeaf,
+			HostLinkGbps: c.HostLinkBps / 1e9, UplinkGbps: c.UplinkBps / 1e9,
+			HostDelay: simDur(c.HostDelay), UplinkDelay: simDur(c.UplinkDelay),
+		},
 		Seed:           r.Seed,
-		Workload:       wl,
-		Load:           load,
 		IncastFraction: r.IncastFraction,
 		IncastFanIn:    r.IncastFanIn,
-		Scheme:         scheme,
-		Beta1:          b1,
-		Beta2:          b2,
-		Warmup:         r.Warmup,
-		Duration:       r.Duration,
-		Telemetry:      r.Telemetry,
+		Transport:      string(TransportDCQCN),
+		Warmup:         simDur(r.Warmup),
+		Duration:       simDur(r.Duration),
 		Shards:         r.Shards,
 	}
+}
+
+// cell is the base document running one scheme on a registered workload at
+// one load, under the protocol its scheme trains by: PET and PET-ablated
+// train online from the pretrained bundle, ACC online only.
+func (r *Runner) cell(scheme Scheme, wl string, load float64) Cell {
+	c := Cell{Spec: r.base()}
+	c.Spec.Name, c.Spec.Scheme = fmt.Sprintf("%s/%s/%.2f", scheme, wl, load), string(scheme)
+	c.Spec.Workload, c.Spec.Load = &WorkloadSpec{Name: wl}, &load
 	switch scheme {
 	case SchemePET, SchemePETAblated:
-		s.Train = true
-		m, err := r.pretrained(scheme, wl)
-		if err != nil {
-			return Scenario{}, err
-		}
-		s.Models = m
+		c.Spec.Train, c.Pretrained = true, true
 	case SchemeACC:
-		s.Train = true
-		// ACC trains online only; granting it the same total training time
-		// as PET's pretrain+warmup keeps the comparison fair.
-		s.Warmup += r.TrainTime
+		r.online(&c)
 	}
-	return s, nil
+	return c
 }
 
-// pretrained returns (building on demand) the offline-trained PET models
-// for a workload — the hybrid training pipeline of Sec. 4.4.
-func (r *Runner) pretrained(scheme Scheme, wl *workload.CDF) ([]byte, error) {
-	key := string(scheme) + "/" + wl.Name()
-	if m, ok := r.petModels[key]; ok {
-		return m, nil
-	}
-	b1, b2 := defaultBetas(wl)
-	r.progress("pretrain %s on %s (%v)", scheme, wl.Name(), r.TrainTime)
-	m, err := PretrainPET(Scenario{
-		Topo:           r.Topo,
-		Seed:           r.Seed + 1000,
-		Workload:       wl,
-		Load:           0.6,
-		IncastFraction: r.IncastFraction,
-		IncastFanIn:    r.IncastFanIn,
-		Scheme:         scheme,
-		Beta1:          b1,
-		Beta2:          b2,
-		Telemetry:      r.Telemetry,
-		Shards:         r.Shards,
-	}, r.TrainTime)
+// online puts a cell on the online-only protocol: no pretrained bundle, and
+// training during a warm-up extended by the runner's training budget, so
+// the scheme gets the same total training time as PET's pretrain+warm-up.
+func (r *Runner) online(c *Cell) {
+	c.Spec.Train, c.Pretrained = true, false
+	c.Spec.Warmup = simDur(c.Spec.Warmup.Time() + r.TrainTime)
+}
+
+// pretrained returns (training on demand) the offline-trained bundle a
+// cell's scheme starts from — the hybrid pipeline of Sec. 4.4. Pretraining
+// runs a document too: the base on the cell's scheme and workload at
+// Seed+1000 and 60% load for TrainTime, and the bundle is cached under that
+// document's key.
+func (r *Runner) pretrained(c Cell) ([]byte, error) {
+	load := 0.6
+	doc := r.base()
+	doc.Seed += 1000
+	doc.Scheme, doc.Workload, doc.Load = c.Spec.Scheme, c.Spec.Workload, &load
+	doc.Duration = simDur(r.TrainTime)
+	key, err := Cell{Spec: doc}.key()
 	if err != nil {
 		return nil, err
 	}
-	r.petModels[key] = m
+	if m, ok := r.bundles[key]; ok {
+		return m, nil
+	}
+	s, err := doc.ToScenario()
+	if err != nil {
+		return nil, err
+	}
+	s.Telemetry = r.Telemetry
+	r.progress("pretrain %s on %s (%v)", doc.Scheme, doc.Workload.Name, r.TrainTime)
+	m, err := PretrainPET(s, s.Duration)
+	if err != nil {
+		return nil, err
+	}
+	r.bundles[key] = m
 	return m, nil
 }
 
-// run executes (or recalls) the canonical run for a combination, averaging
-// across r.Seeds independent seeds.
-func (r *Runner) run(scheme Scheme, wl *workload.CDF, load float64) (Result, error) {
-	return r.runCell(fmt.Sprintf("%s/%s/%.2f", scheme, wl.Name(), load), scheme, wl, load, nil)
-}
-
-// runCell executes (or recalls) one result cell under key: each of r.Seeds
-// seeds runs the canonical scenario for the combination, first edited by
-// adjust (nil = none), and the cell averages them.
-func (r *Runner) runCell(key string, scheme Scheme, wl *workload.CDF, load float64, adjust func(*Scenario)) (Result, error) {
+// runCell runs (or recalls) one result cell: each of r.Seeds seeds runs the
+// cell's document with its seed advanced by i·7919, the runner's telemetry
+// and (for a pretrained cell) its bundle attached, and the cell averages
+// them.
+func (r *Runner) runCell(c Cell) (Result, error) {
+	key, err := c.key()
+	if err != nil {
+		return Result{}, err
+	}
 	if res, ok := r.cache[key]; ok {
 		return res, nil
 	}
-	n := r.Seeds
-	if n < 1 {
-		n = 1
+	var models []byte
+	if c.Pretrained {
+		if models, err = r.pretrained(c); err != nil {
+			return Result{}, err
+		}
 	}
-	results := make([]Result, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := r.scenario(scheme, wl, load)
+	results := make([]Result, max(r.Seeds, 1))
+	for i := range results {
+		doc := c.Spec
+		doc.Seed += int64(i) * 7919
+		s, err := doc.ToScenario()
 		if err != nil {
 			return Result{}, err
 		}
-		s.Seed = r.Seed + int64(i)*7919
-		if adjust != nil {
-			adjust(&s)
-		}
-		r.progress("run %s seed %d/%d", key, i+1, n)
-		res, err := Run(s)
-		if err != nil {
+		s.Telemetry, s.Models = r.Telemetry, models
+		r.progress("run %s seed %d/%d", c.Spec.Name, i+1, len(results))
+		if results[i], err = Run(s); err != nil {
 			return Result{}, err
 		}
-		results = append(results, res)
 	}
 	res := mergeResults(results)
 	r.cache[key] = res
@@ -250,151 +287,4 @@ func mergeResults(rs []Result) Result {
 		out.Overhead = overhead
 	}
 	return out
-}
-
-// loadCols renders "30%", "50%", … headers.
-func (r *Runner) loadCols() []string {
-	cols := []string{"scheme"}
-	for _, l := range r.Loads {
-		cols = append(cols, fmt.Sprintf("%d%%", int(l*100+0.5)))
-	}
-	return cols
-}
-
-// Fig3 prints the two workload CDFs (the paper's traffic distributions).
-func (r *Runner) Fig3() *Table {
-	t := &Table{
-		Title:   "Fig. 3 — Traffic distributions (flow size CDF)",
-		Columns: []string{"percentile", "WebSearch (bytes)", "DataMining (bytes)"},
-	}
-	ws, dm := workload.WebSearch(), workload.DataMining()
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0} {
-		t.AddRow(
-			fmt.Sprintf("P%g", p*100),
-			fmt.Sprintf("%.0f", ws.Quantile(p)),
-			fmt.Sprintf("%.0f", dm.Quantile(p)),
-		)
-	}
-	t.Note("analytic means: WebSearch %.0f B, DataMining %.0f B", ws.Mean(), dm.Mean())
-	return t
-}
-
-// fctPanel renders one Fig. 4 panel: a metric for every scheme across loads.
-func (r *Runner) fctPanel(title string, wl *workload.CDF, metric func(Result) float64) (*Table, error) {
-	t := &Table{Title: title, Columns: r.loadCols()}
-	for _, scheme := range ComparedSchemes() {
-		row := []string{string(scheme)}
-		for _, load := range r.Loads {
-			res, err := r.run(scheme, wl, load)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(metric(res)))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// Fig4 regenerates the four FCT panels under the Web Search workload:
-// (a) overall average, (b) mice average, (c) mice 99th percentile,
-// (d) elephant average — all as normalized FCT (slowdown).
-func (r *Runner) Fig4() ([]*Table, error) {
-	ws := workload.WebSearch()
-	var out []*Table
-	for _, p := range []struct {
-		title  string
-		metric func(Result) float64
-	}{
-		{"Fig. 4(a) — WebSearch overall avg normalized FCT",
-			func(res Result) float64 { return res.Overall.AvgSlowdown }},
-		{"Fig. 4(b) — WebSearch mice (0,100KB] avg normalized FCT",
-			func(res Result) float64 { return res.MiceBkt.AvgSlowdown }},
-		{"Fig. 4(c) — WebSearch mice (0,100KB] 99th-pct normalized FCT",
-			func(res Result) float64 { return res.MiceBkt.P99Slowdown }},
-		{"Fig. 4(d) — WebSearch elephant [10MB,inf) avg normalized FCT",
-			func(res Result) float64 { return res.Elephant.AvgSlowdown }},
-	} {
-		t, err := r.fctPanel(p.title, ws, p.metric)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// Fig5 compares overall FCT across the two workloads.
-func (r *Runner) Fig5() ([]*Table, error) {
-	ta, err := r.fctPanel("Fig. 5(a) — WebSearch overall avg normalized FCT", workload.WebSearch(),
-		func(res Result) float64 { return res.Overall.AvgSlowdown })
-	if err != nil {
-		return nil, err
-	}
-	tb, err := r.fctPanel("Fig. 5(b) — DataMining overall avg normalized FCT", workload.DataMining(),
-		func(res Result) float64 { return res.Overall.AvgSlowdown })
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{ta, tb}, nil
-}
-
-// Table1 reproduces the queue length statistics at 60% load.
-func (r *Runner) Table1() (*Table, error) {
-	t := &Table{
-		Title:   "Table I — Queue length statistics at 60% load (WebSearch)",
-		Columns: []string{"queue length", "PET", "ACC", "SECN1", "SECN2"},
-	}
-	ws := workload.WebSearch()
-	var avg, vr []string
-	for _, scheme := range []Scheme{SchemePET, SchemeACC, SchemeSECN1, SchemeSECN2} {
-		res, err := r.run(scheme, ws, 0.6)
-		if err != nil {
-			return nil, err
-		}
-		avg = append(avg, f1(res.QueueAvgKB)+"KB")
-		vr = append(vr, f1(res.QueueVarKB)+"KB")
-	}
-	t.AddRow(append([]string{"Average"}, avg...)...)
-	t.AddRow(append([]string{"Variance"}, vr...)...)
-	t.Note("paper reports PET 5.3/10.2 KB vs ACC 6.1/14.1 KB on the 25G fabric")
-	return t, nil
-}
-
-// Fig8 reproduces the per-packet latency comparison (Web Search).
-func (r *Runner) Fig8() (*Table, error) {
-	t := &Table{Title: "Fig. 8 — WebSearch per-packet latency, avg (p99) µs", Columns: r.loadCols()}
-	ws := workload.WebSearch()
-	for _, scheme := range ComparedSchemes() {
-		row := []string{string(scheme)}
-		for _, load := range r.Loads {
-			res, err := r.run(scheme, ws, load)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f (%.1f)", res.LatencyAvgUs, res.LatencyP99Us))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-// Fig9 is the state ablation: PET with vs without the incast-degree and
-// mice/elephant-ratio states.
-func (r *Runner) Fig9() (*Table, error) {
-	t := &Table{Title: "Fig. 9 — State ablation (WebSearch overall avg normalized FCT)", Columns: r.loadCols()}
-	ws := workload.WebSearch()
-	for _, scheme := range []Scheme{SchemePET, SchemePETAblated} {
-		row := []string{string(scheme)}
-		for _, load := range r.Loads {
-			res, err := r.run(scheme, ws, load)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, f2(res.Overall.AvgSlowdown))
-		}
-		t.AddRow(row...)
-	}
-	t.Note("PET-ablated removes D_incast and R_flow from the state (ACC's state set)")
-	return t, nil
 }

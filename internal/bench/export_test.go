@@ -5,20 +5,33 @@ package bench
 // (importing those packages from an in-package test would cycle); this shim
 // exposes the unexported pieces they exercise.
 
-import "pet/internal/workload"
-
 var MergeResults = mergeResults
 
 func (s Scenario) WithDefaults() Scenario { return s.withDefaults() }
 
-func (r *Runner) RunOne(scheme Scheme, wl *workload.CDF, load float64) (Result, error) {
-	return r.run(scheme, wl, load)
+// Cells returns the exhibit's cell documents on r without running them.
+func (e Exhibit) Cells(r *Runner) []Cell { return e.cells(r) }
+
+// SweepCell is the cell of one scheme on a registered workload at one load.
+func (r *Runner) SweepCell(scheme Scheme, wl string, load float64) Cell {
+	return r.cell(scheme, wl, load)
 }
+
+// RunCell runs (or recalls) one cell.
+func (r *Runner) RunCell(c Cell) (Result, error) { return r.runCell(c) }
+
+// Bundle returns (training on demand) the pretrained bundle a cell starts
+// from.
+func (r *Runner) Bundle(c Cell) ([]byte, error) { return r.pretrained(c) }
 
 func (r *Runner) CacheSize() int { return len(r.cache) }
 
-// Cell returns a cached result cell by its runner key.
-func (r *Runner) Cell(key string) (Result, bool) {
+// Cached returns a cell's cached result, looked up by its document.
+func (r *Runner) Cached(c Cell) (Result, bool) {
+	key, err := c.key()
+	if err != nil {
+		return Result{}, false
+	}
 	res, ok := r.cache[key]
 	return res, ok
 }

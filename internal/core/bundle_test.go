@@ -20,7 +20,7 @@ var modelSchemes = []bench.Scheme{bench.SchemePET, bench.SchemeACC}
 
 // trainedControl runs a short tiny-fabric training episode of scheme and
 // returns its controller.
-func trainedControl(t *testing.T, scheme bench.Scheme, seed int64) bench.ModelScheme {
+func trainedControl(t testing.TB, scheme bench.Scheme, seed int64) bench.ModelScheme {
 	t.Helper()
 	env, err := bench.NewEnv(bench.Scenario{
 		Scheme:   scheme,

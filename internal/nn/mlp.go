@@ -147,6 +147,31 @@ func Decode(data []byte) (*MLP, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
 		return nil, err
 	}
+	// The file comes from outside the process: check its architecture
+	// against its weights before building it, so a malformed one is an
+	// error rather than a panic in NewMLP or an allocation its own bytes
+	// cannot back. Every width is at most the parameter count, so the
+	// running sum cannot overflow.
+	if len(f.Sizes) < 2 {
+		return nil, fmt.Errorf("nn: model file has %d layer sizes, need at least 2", len(f.Sizes))
+	}
+	if a := Activation(f.Act); a != ActTanh && a != ActReLU {
+		return nil, fmt.Errorf("nn: model file has unknown activation %d", f.Act)
+	}
+	params := 0
+	for i, size := range f.Sizes {
+		if size <= 0 || size > len(f.Flat) {
+			return nil, fmt.Errorf("nn: model file layer %d has width %d for %d params", i, size, len(f.Flat))
+		}
+		if i > 0 {
+			if params += f.Sizes[i-1]*size + size; params > len(f.Flat) {
+				break
+			}
+		}
+	}
+	if params != len(f.Flat) {
+		return nil, fmt.Errorf("nn: model file sizes %v do not match its %d params", f.Sizes, len(f.Flat))
+	}
 	m := NewMLP(f.Sizes, Activation(f.Act), rng.New(0))
 	if err := m.Restore(f.Flat); err != nil {
 		return nil, err

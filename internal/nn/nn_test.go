@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -317,4 +319,36 @@ func TestMLPValidation(t *testing.T) {
 		}
 	}()
 	NewMLP([]int{3}, ActTanh, rng.New(1))
+}
+
+// Decode reads model files from bundles, i.e. from outside the process: a
+// file whose architecture does not match its weights is an error, never a
+// panic in NewMLP or an allocation its own bytes cannot back.
+func TestDecodeRejectsMalformedArchitecture(t *testing.T) {
+	valid := modelFile{Sizes: []int{2, 3, 1}, Act: int(ActTanh), Flat: make([]float64, 2*3+3+3*1+1)}
+	for name, f := range map[string]modelFile{
+		"no sizes":           {Flat: valid.Flat},
+		"one size":           {Sizes: []int{3}, Flat: valid.Flat},
+		"zero width":         {Sizes: []int{2, 0, 1}, Flat: valid.Flat},
+		"negative width":     {Sizes: []int{2, -3, 1}, Flat: valid.Flat},
+		"unknown activation": {Sizes: valid.Sizes, Act: 7, Flat: valid.Flat},
+		"too few weights":    {Sizes: valid.Sizes, Flat: valid.Flat[1:]},
+		"too many weights":   {Sizes: valid.Sizes, Flat: append(valid.Flat, 0)},
+		"huge layers":        {Sizes: []int{1 << 40, 1 << 40}, Flat: valid.Flat},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := Decode(buf.Bytes()); err == nil {
+			t.Errorf("%s: decoded an MLP of sizes %v", name, m.Sizes())
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(valid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(buf.Bytes()); err != nil {
+		t.Fatalf("valid file rejected: %v", err)
+	}
 }

@@ -23,21 +23,3 @@ func Apply(net *netsim.Network, class int, cfg netsim.ECNConfig) {
 		p.SetECN(class, cfg)
 	}
 }
-
-// Scaled shrinks a configuration's thresholds by the given divisor — used
-// when running the paper's 25/100 Gbps settings on a scaled-down fabric so
-// that thresholds stay proportionate to the bandwidth-delay product.
-func Scaled(cfg netsim.ECNConfig, div int) netsim.ECNConfig {
-	if div <= 0 {
-		panic("staticecn: non-positive divisor")
-	}
-	cfg.KminBytes /= div
-	cfg.KmaxBytes /= div
-	if cfg.KminBytes < 1 {
-		cfg.KminBytes = 1
-	}
-	if cfg.KmaxBytes <= cfg.KminBytes {
-		cfg.KmaxBytes = cfg.KminBytes + 1
-	}
-	return cfg
-}

@@ -35,21 +35,3 @@ func TestApplyHitsEverySwitchPort(t *testing.T) {
 		t.Fatal("Apply touched a host NIC")
 	}
 }
-
-func TestScaled(t *testing.T) {
-	s := Scaled(SECN1(), 4)
-	if s.KminBytes != (5<<10)/4 || s.KmaxBytes != (200<<10)/4 {
-		t.Fatalf("Scaled = %+v", s)
-	}
-	// Degenerate divisor keeps Kmin < Kmax.
-	tiny := Scaled(netsim.ECNConfig{Enabled: true, KminBytes: 2, KmaxBytes: 3, Pmax: 1}, 1000)
-	if tiny.KminBytes >= tiny.KmaxBytes || tiny.KminBytes < 1 {
-		t.Fatalf("degenerate Scaled = %+v", tiny)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero divisor accepted")
-		}
-	}()
-	Scaled(SECN1(), 0)
-}

@@ -156,6 +156,8 @@ type (
 	Env = bench.Env
 	// Runner regenerates the paper's tables and figures.
 	Runner = bench.Runner
+	// Exhibit is one table or figure of the evaluation, run on a Runner.
+	Exhibit = bench.Exhibit
 	// Table is a printable experiment output.
 	Table = bench.Table
 	// Scheme selects the ECN control strategy under test.
@@ -213,6 +215,9 @@ func NewEnv(s Scenario) (*Env, error) { return bench.NewEnv(s) }
 
 // NewRunner returns the experiment runner with laptop-scale defaults.
 func NewRunner() *Runner { return bench.NewRunner() }
+
+// Exhibits lists the evaluation's exhibits in petbench's order.
+func Exhibits() []Exhibit { return bench.Exhibits() }
 
 // ResultTable renders one completed run as a metric/value table — the
 // petbench output for spec-described scenarios without a paper figure.
