@@ -59,3 +59,17 @@ func TestZeroGradZeroAllocs(t *testing.T) {
 		t.Fatalf("MLP.ZeroGrad allocates %.1f per call, want 0", allocs)
 	}
 }
+
+// The one-output forward pass fills the same preallocated buffers as
+// Forward: zero allocations.
+func TestMLPForwardAtZeroAllocs(t *testing.T) {
+	m := NewMLP([]int{18, 64, 64, 200}, ActReLU, rng.New(4))
+	x := make([]float64, 18)
+	for i := range x {
+		x[i] = float64(i) * 0.1
+	}
+	allocs := testing.AllocsPerRun(100, func() { m.ForwardAt(x, 7) })
+	if allocs != 0 {
+		t.Fatalf("MLP.ForwardAt allocates %.1f per call, want 0", allocs)
+	}
+}

@@ -67,6 +67,13 @@ func (l *Linear) Forward(x []float64) []float64 {
 	return l.out
 }
 
+// forwardRow computes output k of Wx + b — the same float64 as Forward's —
+// and caches x as Forward does, without touching the other outputs.
+func (l *Linear) forwardRow(x []float64, k int) float64 {
+	l.in = x
+	return mat.Dot(l.W.Row(k), x) + l.B[k]
+}
+
 // Backward accumulates dW += dy·xᵀ, dB += dy and returns Wᵀ·dy.
 func (l *Linear) Backward(dy []float64) []float64 {
 	l.DW.AddOuter(dy, l.in, 1)

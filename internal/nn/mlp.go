@@ -67,6 +67,19 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return x
 }
 
+// ForwardAt returns Forward(x)[k], bit for bit, computing only output k:
+// the hidden layers run in full and the output layer computes one row. It
+// caches what a Backward needs whose dy is zero outside k; a Backward after
+// ForwardAt with a dy nonzero elsewhere is a caller error. The slice the
+// last Forward returned is not updated.
+func (m *MLP) ForwardAt(x []float64, k int) float64 {
+	last := len(m.layers) - 1
+	for _, l := range m.layers[:last] {
+		x = l.Forward(x)
+	}
+	return m.layers[last].(*Linear).forwardRow(x, k)
+}
+
 // Backward propagates dL/dy of the most recent Forward through the stack,
 // accumulating parameter gradients, and returns dL/dx.
 func (m *MLP) Backward(dy []float64) []float64 {

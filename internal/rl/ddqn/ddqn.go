@@ -204,17 +204,19 @@ func (a *Agent) Observe(t Transition) {
 // learn samples a minibatch and applies one Double-Q update:
 //
 //	y = r + γ · Q_target(s', argmax_a Q_online(s', a))
+//
+// Only the argmax needs every Q-value; the target and the prediction read
+// one output each, so they run the one-output forward pass, and the
+// gradient is one-hot at the taken action as that pass requires.
 func (a *Agent) learn() {
 	batch := a.replay.Sample(a.cfg.BatchSize, a.scratch)
 	a.scratch = batch
 	invB := 1.0 / float64(len(batch))
 	for _, t := range batch {
-		// Double-Q target (no terminal states in a continuing MDP).
-		bestNext := mat.ArgMax(a.online.Forward(t.S2))
-		y := t.R + a.cfg.Gamma*a.target.Forward(t.S2)[bestNext]
-
-		q := a.online.Forward(t.S)
-		diff := q[t.A] - y
+		// The target first: its argmax pass overwrites the online
+		// network's cached activations, which Backward reads.
+		y := a.tdTarget(t)
+		diff := a.online.ForwardAt(t.S, t.A) - y
 		mat.Fill(a.dOut, 0)
 		a.dOut[t.A] = 2 * diff * invB
 		a.online.Backward(a.dOut)
@@ -231,9 +233,12 @@ func (a *Agent) learn() {
 func (a *Agent) LearnSteps() int { return a.learnSteps }
 
 // SyncTarget copies the online network into the target network.
+// The architectures are identical by construction, so the parameter groups
+// copy one to one without a flattened snapshot.
 func (a *Agent) SyncTarget() {
-	if err := a.target.Restore(a.online.Snapshot()); err != nil {
-		panic(err) // identical architectures by construction
+	target := a.target.Params()
+	for i, p := range a.online.Params() {
+		copy(target[i], p)
 	}
 }
 
@@ -279,7 +284,13 @@ func (a *Agent) decodeSnapshot(data []byte) (*nn.MLP, error) {
 // TD computes the current TD error magnitude for a transition (useful in
 // tests to verify learning reduces it).
 func (a *Agent) TD(t Transition) float64 {
+	y := a.tdTarget(&t)
+	return math.Abs(a.online.ForwardAt(t.S, t.A) - y)
+}
+
+// tdTarget is the Double-Q target of a transition (no terminal states in a
+// continuing MDP).
+func (a *Agent) tdTarget(t *Transition) float64 {
 	bestNext := mat.ArgMax(a.online.Forward(t.S2))
-	y := t.R + a.cfg.Gamma*a.target.Forward(t.S2)[bestNext]
-	return math.Abs(a.online.Forward(t.S)[t.A] - y)
+	return t.R + a.cfg.Gamma*a.target.ForwardAt(t.S2, bestNext)
 }

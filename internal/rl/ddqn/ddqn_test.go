@@ -154,6 +154,16 @@ func TestTargetSyncMakesNetsEqual(t *testing.T) {
 	_ = diff
 }
 
+// The target sync runs every TargetSync learn steps; it copies parameter
+// groups in place instead of through a flattened snapshot.
+func TestSyncTargetZeroAllocs(t *testing.T) {
+	a := New(Config{ObsDim: 18, Actions: 200}, 10, nil)
+	allocs := testing.AllocsPerRun(10, a.SyncTarget)
+	if allocs != 0 {
+		t.Fatalf("SyncTarget allocates %.1f per call, want 0", allocs)
+	}
+}
+
 func TestEncodeRestoreRoundTrip(t *testing.T) {
 	a := New(Config{ObsDim: 3, Actions: 5}, 9, nil)
 	s := []float64{0.1, 0.2, 0.3}
