@@ -140,8 +140,11 @@ func (c Config) slotFeatures(s *core.SwitchState, f core.SlotFeatures) []float64
 func (c *Controller) decide(obs []core.Observation, out []netsim.ECNConfig) {
 	for i, o := range obs {
 		a := c.agents[i]
+		// One copy of the observation is both this transition's S2 and the
+		// next one's S: nothing mutates a stored state.
+		state := mat.Clone(o.State)
 		if c.cfg.Train && a.hasPrev {
-			a.agent.Observe(ddqn.Transition{S: a.prevState, A: a.prevAct, R: o.Reward, S2: mat.Clone(o.State)})
+			a.agent.Observe(ddqn.Transition{S: a.prevState, A: a.prevAct, R: o.Reward, S2: state})
 		}
 		eps := 0.0
 		if c.cfg.Train {
@@ -150,7 +153,7 @@ func (c *Controller) decide(obs []core.Observation, out []netsim.ECNConfig) {
 		act := a.agent.Act(o.State, eps)
 		out[i] = c.cfg.ActionToECN(act)
 		a.hasPrev = true
-		a.prevState = mat.Clone(o.State)
+		a.prevState = state
 		a.prevAct = act
 	}
 }
