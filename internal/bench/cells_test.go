@@ -39,12 +39,17 @@ func TestTransportCompatSharesDCQCNCells(t *testing.T) {
 
 // Every cell of every exhibit is a plain scenario document: it survives
 // Encode → DecodeScenarioSpec unchanged, and ToScenario accepts it. Nothing
-// is simulated. The shapes are NewRunner's and petbench -quick's.
+// is simulated. The shapes are NewRunner's, petbench -quick's and the
+// exhibits golden's.
 func TestExhibitCellsAreDocuments(t *testing.T) {
 	quick := bench.NewRunner()
 	quick.TrainTime, quick.Warmup, quick.Duration = 10*sim.Millisecond, 5*sim.Millisecond, 15*sim.Millisecond
+	// The exhibits-golden shape: its 2 ms Duration divides into Fig. 6/7
+	// series windows and event times that are not whole nanoseconds.
+	golden := bench.NewRunner()
+	golden.TrainTime, golden.Warmup, golden.Duration = 2*sim.Millisecond, 1*sim.Millisecond, 2*sim.Millisecond
 	names := map[string]bool{}
-	for _, r := range []*bench.Runner{bench.NewRunner(), quick} {
+	for _, r := range []*bench.Runner{bench.NewRunner(), quick, golden} {
 		total := 0
 		for _, e := range bench.Exhibits() {
 			names[e.Name] = true

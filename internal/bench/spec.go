@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"pet/internal/sim"
@@ -54,15 +56,21 @@ func specWrap(path string, err error) *SpecError {
 }
 
 // SimDuration is simulated time in a scenario document, encoded as a Go
-// duration string ("20ms", "1.5s"). Sub-nanosecond precision is not
-// representable — scenario timescales are microseconds and up.
+// duration string ("20ms", "1.5s"). sim.Time counts picoseconds, so a time
+// that is not a whole number of nanoseconds is written as integer
+// picoseconds ("333333333ps") instead: every value round-trips exactly, and
+// whole-nanosecond times keep their Go spelling.
 type SimDuration sim.Time
 
 // Time converts to engine time.
 func (d SimDuration) Time() sim.Time { return sim.Time(d) }
 
 func (d SimDuration) String() string {
-	return time.Duration(sim.Time(d) / sim.Nanosecond).String()
+	t := sim.Time(d)
+	if t%sim.Nanosecond != 0 {
+		return strconv.FormatInt(int64(t), 10) + "ps"
+	}
+	return time.Duration(t / sim.Nanosecond).String()
 }
 
 // MarshalJSON encodes the duration as its string form.
@@ -79,16 +87,31 @@ func (d *SimDuration) UnmarshalJSON(data []byte) error {
 	return d.Set(s)
 }
 
-// Set parses a Go duration string, rejecting negative ones. It is the one
+// Set parses a Go duration string or integer picoseconds ("7ps"),
+// rejecting negative durations and ones sim.Time cannot hold. It is the one
 // duration parser: documents, petd's job fields and the promotion gate all
 // read durations through it.
 func (d *SimDuration) Set(s string) error {
+	if digits, ok := strings.CutSuffix(s, "ps"); ok {
+		ps, err := strconv.ParseInt(digits, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad duration %q", s)
+		}
+		if ps < 0 {
+			return fmt.Errorf("negative duration %q", s)
+		}
+		*d = SimDuration(ps)
+		return nil
+	}
 	dur, err := time.ParseDuration(s)
 	if err != nil {
 		return fmt.Errorf("bad duration %q", s)
 	}
 	if dur < 0 {
 		return fmt.Errorf("negative duration %q", s)
+	}
+	if dur > time.Duration(math.MaxInt64/int64(sim.Nanosecond)) {
+		return fmt.Errorf("duration %q out of range", s)
 	}
 	*d = SimDuration(sim.Time(dur.Nanoseconds()) * sim.Nanosecond)
 	return nil

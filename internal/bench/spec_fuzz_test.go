@@ -42,6 +42,7 @@ func FuzzDecodeScenarioSpec(f *testing.F) {
 		`{"version": 99}`,
 		`{"topo": {"spines": null}, "events": [null]}`,
 		`{"events": [{"at": "1ms", "kind": "link-down", "frac": 0.5}]}`,
+		`{"series_window": "333333333ps", "events": [{"at": "1333333333ps", "kind": "link-down", "frac": 0.5}]}`,
 	} {
 		f.Add([]byte(doc))
 	}

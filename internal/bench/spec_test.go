@@ -34,6 +34,9 @@ func TestSpecDecodeErrors(t *testing.T) {
 		{"bad duration", `{"warmup": "fast"}`, `warmup: bad duration "fast"`},
 		{"negative duration", `{"duration": "-1ms"}`, `duration: negative duration "-1ms"`},
 		{"duration not string", `{"warmup": 20}`, "warmup: want a duration string"},
+		{"negative picoseconds", `{"duration": "-7ps"}`, `duration: negative duration "-7ps"`},
+		{"fractional picoseconds", `{"warmup": "1.5ps"}`, `warmup: bad duration "1.5ps"`},
+		{"duration out of range", `{"duration": "3000h"}`, `duration: duration "3000h" out of range`},
 		{"betas arity", `{"betas": [0.3]}`, "betas: want an array of 2 elements"},
 		{"newer version", `{"version": 99}`, "version: document version 99 is newer"},
 		{"root not object", `[1,2]`, "(document root): want an object"},
@@ -48,6 +51,44 @@ func TestSpecDecodeErrors(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.path)
 			}
 		})
+	}
+}
+
+// A SimDuration keeps its Go spelling when it is a whole number of
+// nanoseconds and is written as integer picoseconds otherwise; both decode
+// back to the same time.
+func TestSimDurationRoundTripsEveryPicosecond(t *testing.T) {
+	for _, tc := range []struct {
+		t    sim.Time
+		want string
+	}{
+		{0, "0s"},
+		{20 * sim.Millisecond, "20ms"},
+		{1500 * sim.Millisecond, "1.5s"},
+		{sim.Nanosecond, "1ns"},
+		{7 * sim.Picosecond, "7ps"},
+		{2 * sim.Millisecond / 6, "333333333ps"},
+		{sim.Millisecond + sim.Picosecond, "1000000001ps"},
+	} {
+		d := bench.SimDuration(tc.t)
+		data, err := d.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != `"`+tc.want+`"` {
+			t.Fatalf("%d ps encodes as %s, want %q", int64(tc.t), data, tc.want)
+		}
+		var back bench.SimDuration
+		if err := back.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+		if back != d {
+			t.Fatalf("%s decodes to %d ps, want %d", data, int64(back), int64(tc.t))
+		}
+	}
+	var d bench.SimDuration
+	if err := d.Set("1000ps"); err != nil || d.Time() != sim.Nanosecond || d.String() != "1ns" {
+		t.Fatalf(`Set("1000ps") = %d ps (%v), %v`, int64(d), d, err)
 	}
 }
 

@@ -169,7 +169,8 @@ type (
 	// (errors.As).
 	UnknownSchemeError = bench.UnknownSchemeError
 	// SimDuration is simulated time in a scenario document, written as a Go
-	// duration string ("20ms").
+	// duration string ("20ms"), or as integer picoseconds ("7ps") when it
+	// is not a whole number of nanoseconds.
 	SimDuration = bench.SimDuration
 )
 
