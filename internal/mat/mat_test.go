@@ -109,6 +109,28 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// MulVecT skips rows whose x entry is exactly zero: a non-finite weight in
+// such a row must not turn dst into NaN (Inf·0), wherever the row falls in
+// a block of four.
+func TestMulVecTSkipsZeroRows(t *testing.T) {
+	for zero := 0; zero < 6; zero++ {
+		m := New(6, 3)
+		for i := range m.Data {
+			m.Data[i] = 1
+		}
+		m.Set(zero, 1, math.Inf(1))
+		x := []float64{1, 1, 1, 1, 1, 1}
+		x[zero] = math.Copysign(0, float64(zero%2)*-2+1)
+		dst := make([]float64, 3)
+		m.MulVecT(x, dst)
+		for j, v := range dst {
+			if v != 5 {
+				t.Fatalf("zero row %d: dst[%d] = %v, want 5", zero, j, v)
+			}
+		}
+	}
+}
+
 // Property: MulVecT is the adjoint of MulVec — ⟨Ax, y⟩ == ⟨x, Aᵀy⟩.
 func TestAdjointProperty(t *testing.T) {
 	f := func(seed uint8) bool {
