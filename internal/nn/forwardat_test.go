@@ -63,3 +63,37 @@ func TestForwardAtMatchesForwardBitwise(t *testing.T) {
 		}
 	}
 }
+
+// BackwardParams accumulates what Backward does, bit for bit, over several
+// samples, and leaves the first layer's input gradient untouched.
+func TestBackwardParamsMatchesBackwardBitwise(t *testing.T) {
+	r := rng.New(22)
+	for _, sizes := range [][]int{{18, 21, 13, 30}, {18, 64, 64, 200}, {5, 3}} {
+		full := NewMLP(sizes, ActReLU, rng.New(8))
+		params := NewMLP(sizes, ActReLU, rng.New(8))
+		first := params.layers[0].(*Linear)
+		x, dy := make([]float64, sizes[0]), make([]float64, sizes[len(sizes)-1])
+		for n := 0; n < 5; n++ {
+			for i := range x {
+				x[i] = r.Float64()*2 - 1
+			}
+			for i := range dy {
+				dy[i] = r.Float64() - 0.5
+			}
+			full.Forward(x)
+			full.Backward(dy)
+			params.Forward(x)
+			params.BackwardParams(dy)
+		}
+		for g, grad := range full.Grads() {
+			if !sameFloatBits(grad, params.Grads()[g]) {
+				t.Fatalf("%v: gradient group %d differs", sizes, g)
+			}
+		}
+		for _, v := range first.dx {
+			if v != 0 {
+				t.Fatalf("%v: BackwardParams computed the first layer's input gradient", sizes)
+			}
+		}
+	}
+}

@@ -76,10 +76,15 @@ func (l *Linear) forwardRow(x []float64, k int) float64 {
 
 // Backward accumulates dW += dy·xᵀ, dB += dy and returns Wᵀ·dy.
 func (l *Linear) Backward(dy []float64) []float64 {
-	l.DW.AddOuter(dy, l.in, 1)
-	mat.Axpy(1, dy, l.DB)
+	l.accumulate(dy)
 	l.W.MulVecT(dy, l.dx)
 	return l.dx
+}
+
+// accumulate is Backward without the input gradient: dW += dy·xᵀ, dB += dy.
+func (l *Linear) accumulate(dy []float64) {
+	l.DW.AddOuter(dy, l.in, 1)
+	mat.Axpy(1, dy, l.DB)
 }
 
 // Params returns the weight and bias groups.

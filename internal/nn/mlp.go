@@ -89,6 +89,16 @@ func (m *MLP) Backward(dy []float64) []float64 {
 	return dy
 }
 
+// BackwardParams is Backward for a caller that does not read dL/dx: it
+// accumulates the same parameter gradients, bit for bit, and skips the
+// first layer's input-gradient product.
+func (m *MLP) BackwardParams(dy []float64) {
+	for i := len(m.layers) - 1; i > 0; i-- {
+		dy = m.layers[i].Backward(dy)
+	}
+	m.layers[0].(*Linear).accumulate(dy)
+}
+
 // Params returns all parameter groups. The returned slice is owned by the
 // MLP and must not be modified (the float data may be, that is the point).
 func (m *MLP) Params() [][]float64 { return m.params }

@@ -89,11 +89,13 @@ func (rp *Replay) MemoryBytes() int64 {
 	return total
 }
 
-// Sample draws n transitions uniformly with replacement into dst.
-func (rp *Replay) Sample(n int, dst []*Transition) []*Transition {
+// Sample draws n transitions uniformly with replacement into dst. It copies
+// them by value: once the ring is full, a later Push overwrites a slot drawn
+// here, and the draw must not change with it.
+func (rp *Replay) Sample(n int, dst []Transition) []Transition {
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
-		dst = append(dst, &rp.buf[rp.r.Intn(len(rp.buf))])
+		dst = append(dst, rp.buf[rp.r.Intn(len(rp.buf))])
 	}
 	return dst
 }
@@ -143,7 +145,7 @@ type Agent struct {
 	r      *rng.Stream
 
 	learnSteps int
-	scratch    []*Transition
+	batch      []Transition // the minibatch Stage drew; empty once learned
 	dOut       []float64
 }
 
@@ -193,15 +195,34 @@ func (a *Agent) QValues(state []float64) []float64 {
 }
 
 // Observe stores a transition and runs one learning step when enough
-// experience has accumulated.
+// experience has accumulated: Stage, then Learn.
 func (a *Agent) Observe(t Transition) {
+	a.Stage(t)
+	a.Learn()
+}
+
+// Stage is the half of Observe that touches the replay: it pushes t and,
+// once the replay holds MinReplay transitions, draws the minibatch the next
+// Learn consumes. Agents sharing one replay stage one at a time, in a fixed
+// order, which fixes the replay's contents and its draws; each then holds
+// its own copy of its draw, so their Learn calls may run concurrently.
+func (a *Agent) Stage(t Transition) {
 	a.replay.Push(t)
 	if a.replay.Len() >= a.cfg.MinReplay {
-		a.learn()
+		a.batch = a.replay.Sample(a.cfg.BatchSize, a.batch)
 	}
 }
 
-// learn samples a minibatch and applies one Double-Q update:
+// Learn runs one learning step on the minibatch Stage drew, if it drew one.
+// It reads and writes only the agent's own networks and optimizer.
+func (a *Agent) Learn() {
+	if len(a.batch) > 0 {
+		a.learn()
+		a.batch = a.batch[:0]
+	}
+}
+
+// learn applies one Double-Q update on the staged minibatch:
 //
 //	y = r + γ · Q_target(s', argmax_a Q_online(s', a))
 //
@@ -209,17 +230,16 @@ func (a *Agent) Observe(t Transition) {
 // one output each, so they run the one-output forward pass, and the
 // gradient is one-hot at the taken action as that pass requires.
 func (a *Agent) learn() {
-	batch := a.replay.Sample(a.cfg.BatchSize, a.scratch)
-	a.scratch = batch
-	invB := 1.0 / float64(len(batch))
-	for _, t := range batch {
+	invB := 1.0 / float64(len(a.batch))
+	for i := range a.batch {
+		t := &a.batch[i]
 		// The target first: its argmax pass overwrites the online
-		// network's cached activations, which Backward reads.
+		// network's cached activations, which the backward pass reads.
 		y := a.tdTarget(t)
 		diff := a.online.ForwardAt(t.S, t.A) - y
 		mat.Fill(a.dOut, 0)
 		a.dOut[t.A] = 2 * diff * invB
-		a.online.Backward(a.dOut)
+		a.online.BackwardParams(a.dOut)
 	}
 	a.opt.ClipGradNorm(10)
 	a.opt.Step()

@@ -1,12 +1,14 @@
 package ddqn
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"pet/internal/rng"
@@ -75,22 +77,90 @@ func TestObserveIdentityGolden(t *testing.T) {
 	}
 }
 
-// A learning step in steady state — replay full, scratch sized — must not
+// Staging every agent's transition on one shared replay and then letting
+// them learn — concurrently — trains the same weights, bit for bit, as each
+// agent observing in turn. The replay is small enough to wrap many times,
+// so a later agent's push overwrites slots an earlier one drew: a stage
+// that kept pointers into the ring instead of copies fails here.
+func TestStagedLearnMatchesObserve(t *testing.T) {
+	cfg := Config{ObsDim: 6, Actions: 5, Hidden: []int{7}, BatchSize: 16, MinReplay: 8, TargetSync: 9}
+	const agents, rounds = 3, 120
+	build := func() []*Agent {
+		replay := NewReplay(12, 31)
+		out := make([]*Agent, agents)
+		for k := range out {
+			out[k] = New(cfg, int64(40+k), replay)
+		}
+		return out
+	}
+	r := rng.New(32)
+	stream := make([][]Transition, rounds)
+	for i := range stream {
+		stream[i] = make([]Transition, agents)
+		for k := range stream[i] {
+			s, s2 := make([]float64, cfg.ObsDim), make([]float64, cfg.ObsDim)
+			for j := range s {
+				s[j], s2[j] = r.Float64()*2-1, r.Float64()*2-1
+			}
+			stream[i][k] = Transition{S: s, A: r.Intn(cfg.Actions), R: r.Float64() - 0.5, S2: s2}
+		}
+	}
+
+	observed, staged := build(), build()
+	for _, round := range stream {
+		for k, tr := range round {
+			observed[k].Observe(tr)
+		}
+		for k, tr := range round {
+			staged[k].Stage(tr)
+		}
+		var wg sync.WaitGroup
+		for _, a := range staged {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a.Learn()
+			}()
+		}
+		wg.Wait()
+	}
+	for k := range observed {
+		want, err := observed[k].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := staged[k].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || staged[k].LearnSteps() != observed[k].LearnSteps() {
+			t.Fatalf("agent %d: staged learning (%d steps) differs from Observe (%d steps)",
+				k, staged[k].LearnSteps(), observed[k].LearnSteps())
+		}
+		if observed[k].LearnSteps() < rounds/2 {
+			t.Fatalf("agent %d learned only %d times", k, observed[k].LearnSteps())
+		}
+	}
+}
+
+// A learning step in steady state — replay full, minibatch sized — must not
 // touch the allocator: it runs once per agent per tuning interval.
 func TestLearnZeroAllocs(t *testing.T) {
 	cfg := Config{ObsDim: 18, Actions: 200}
 	a := New(cfg, 3, NewReplay(128, 4))
 	r := rng.New(5)
+	var tr Transition
 	for a.Replay().Len() < 128 {
 		s, s2 := make([]float64, cfg.ObsDim), make([]float64, cfg.ObsDim)
 		for i := range s {
 			s[i], s2[i] = r.Float64(), r.Float64()
 		}
-		a.Observe(Transition{S: s, A: r.Intn(cfg.Actions), R: r.Float64(), S2: s2})
+		tr = Transition{S: s, A: r.Intn(cfg.Actions), R: r.Float64(), S2: s2}
+		a.Observe(tr)
 	}
-	allocs := testing.AllocsPerRun(20, a.learn)
+	allocs := testing.AllocsPerRun(20, func() { a.Observe(tr) })
 	if allocs != 0 {
-		t.Fatalf("learn allocates %.1f per step, want 0", allocs)
+		t.Fatalf("Observe allocates %.1f per step, want 0", allocs)
 	}
 }
 
@@ -107,7 +177,7 @@ func BenchmarkLearn(b *testing.B) {
 		}
 		a.Replay().Push(Transition{S: s, A: r.Intn(cfg.Actions), R: r.Float64(), S2: s2})
 	}
-	a.learn() // size the minibatch scratch
+	a.batch = a.replay.Sample(cfg.BatchSize, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
