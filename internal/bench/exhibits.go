@@ -28,15 +28,18 @@ func Exhibits() []Exhibit {
 		overhead, historyK, rewardBeta, dynamicBaselines, ctde, transportCompat}
 }
 
-// Tables runs (or recalls) the exhibit's cells on r and renders them.
+// Tables runs (or recalls) the exhibit's cells on r, all at once, and
+// renders them. If cells fail, it returns the error of the first in cell
+// order, once every cell has finished.
 func (e Exhibit) Tables(r *Runner) ([]*Table, error) {
 	cells := e.cells(r)
 	res := make([]Result, len(cells))
-	for i, c := range cells {
-		var err error
-		if res[i], err = r.runCell(c); err != nil {
-			return nil, err
-		}
+	err := all(len(cells), func(i int) (err error) {
+		res[i], err = r.runCell(cells[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e.render(r, cells, res), nil
 }

@@ -24,14 +24,31 @@ func (r *Runner) RunCell(c Cell) (Result, error) { return r.runCell(c) }
 // from.
 func (r *Runner) Bundle(c Cell) ([]byte, error) { return r.pretrained(c) }
 
-func (r *Runner) CacheSize() int { return len(r.cache) }
+func (r *Runner) CacheSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cache)
+}
 
-// Cached returns a cell's cached result, looked up by its document.
+// Cached returns a cell's cached result, looked up by its document, once
+// it has been computed without error.
 func (r *Runner) Cached(c Cell) (Result, bool) {
 	key, err := c.key()
 	if err != nil {
 		return Result{}, false
 	}
-	res, ok := r.cache[key]
-	return res, ok
+	r.mu.Lock()
+	f, ok := r.cache[key]
+	r.mu.Unlock()
+	if !ok {
+		return Result{}, false
+	}
+	res, err := f()
+	return res, err == nil
+}
+
+// ExhibitOf is an exhibit of the given cells, rendered as one table with a
+// row per cell.
+func ExhibitOf(cells ...Cell) Exhibit {
+	return Exhibit{"test", func(*Runner) []Cell { return cells }, perCell("test", "", schemeCol)}
 }

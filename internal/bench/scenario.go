@@ -557,21 +557,34 @@ func Run(s Scenario) (Result, error) {
 	return env.Run(), nil
 }
 
+// NotPretrainableError reports a scenario whose scheme has no offline
+// pre-training phase: only PET and PET-ablated train offline (Sec. 4.4.1).
+type NotPretrainableError struct{ Scheme Scheme }
+
+func (e *NotPretrainableError) Error() string {
+	return fmt.Sprintf("bench: scheme %q has no offline pre-training (want %s or %s)",
+		e.Scheme, SchemePET, SchemePETAblated)
+}
+
 // pretrainScenario normalizes a scenario for one offline-training episode:
-// PET scheme, training on, no preloaded models, no events, and the episode
-// seed substituted in.
-func pretrainScenario(s Scenario, dur sim.Time, seed int64) Scenario {
-	s = s.withDefaults()
-	if s.Scheme != SchemePETAblated {
+// training on, no preloaded models, no events, and the episode seed
+// substituted in. An empty scheme means PET.
+func pretrainScenario(s Scenario, dur sim.Time, seed int64) (Scenario, error) {
+	switch s.Scheme {
+	case "":
 		s.Scheme = SchemePET
+	case SchemePET, SchemePETAblated:
+	default:
+		return Scenario{}, &NotPretrainableError{s.Scheme}
 	}
+	s = s.withDefaults()
 	s.Seed = seed
 	s.Train = true
 	s.Models = nil
 	s.Warmup = 0
 	s.Duration = dur
 	s.Events = nil
-	return s
+	return s, nil
 }
 
 // EpisodeStats summarizes one offline-training episode.
@@ -623,7 +636,11 @@ func PretrainEpisode(ctx context.Context, s Scenario, dur sim.Time, seed int64, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	env, err := NewEnv(pretrainScenario(s, dur, seed))
+	s, err := pretrainScenario(s, dur, seed)
+	if err != nil {
+		return EpisodeStats{}, err
+	}
+	env, err := NewEnv(s)
 	if err != nil {
 		return EpisodeStats{}, err
 	}
@@ -670,7 +687,11 @@ func PretrainEpisode(ctx context.Context, s Scenario, dur sim.Time, seed int64, 
 // starts from — the common base the fleet broadcasts to every worker before
 // the first round so merged weight deltas share one origin.
 func PretrainInit(s Scenario) ([]byte, error) {
-	env, err := NewEnv(pretrainScenario(s, 0, s.Seed))
+	s, err := pretrainScenario(s, 0, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	env, err := NewEnv(s)
 	if err != nil {
 		return nil, err
 	}
@@ -684,7 +705,9 @@ func PretrainInit(s Scenario) ([]byte, error) {
 // PretrainPET runs the offline training phase (Sec. 4.4.1): a training-only
 // simulation on the scenario's fabric and workload whose learned models are
 // returned for deployment in subsequent (online) runs. It is the
-// single-episode sequential path; internal/fleet parallelizes it.
+// single-episode sequential path; internal/fleet parallelizes it. The
+// scheme must be PET or PET-ablated, an empty one meaning PET; any other
+// returns a *NotPretrainableError, as PretrainEpisode and PretrainInit do.
 func PretrainPET(s Scenario, dur sim.Time) ([]byte, error) {
 	ep, err := PretrainEpisode(context.Background(), s, dur, s.Seed, nil)
 	if err != nil {

@@ -224,8 +224,9 @@ func Exhibits() []Exhibit { return bench.Exhibits() }
 // petbench output for spec-described scenarios without a paper figure.
 func ResultTable(title string, res bench.Result) *Table { return bench.ResultTable(title, res) }
 
-// PretrainPET runs the offline training phase and returns a model bundle
-// loadable via Scenario.Models.
+// PretrainPET runs the offline training phase of a PET or PET-ablated
+// scenario (an empty scheme means PET) and returns a model bundle loadable
+// via Scenario.Models.
 func PretrainPET(s Scenario, dur Time) ([]byte, error) { return bench.PretrainPET(s, dur) }
 
 // Parallel pre-training fleet (internal/fleet).
