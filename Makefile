@@ -1,7 +1,7 @@
 # Verification tiers. `make ci` is the full gate; see README.md.
 GO ?= go
 
-.PHONY: build build-examples vet lint test race test-pool bench-smoke perf-module perf ci
+.PHONY: build build-examples vet lint test race identity-serial test-pool bench-smoke perf-module perf ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ test:
 race:
 	$(GO) test -race -count=2 ./...
 
+# The identity goldens once more on one core. At GOMAXPROCS > 1 the bench
+# runner runs cells concurrently and ACC's agents learn in parallel; this
+# keeps the serial schedule covered on multi-core hosts.
+identity-serial:
+	GOMAXPROCS=1 $(GO) test -count=1 -run '^(TestExhibitsIdentityGolden|TestLoopIdentityGolden|TestTrainIdentityGolden)$$' ./internal/bench/ ./internal/acc/
+
 # The one tier that compiles different code: the poolcheck build tag turns
 # packet/event ownership violations (double release, use after release)
 # into panics in the pooled packages and both transports.
@@ -56,4 +62,4 @@ perf-module:
 perf:
 	bash perf/run.sh
 
-ci: build build-examples vet lint test test-pool race perf-module bench-smoke
+ci: build build-examples vet lint test identity-serial test-pool race perf-module bench-smoke

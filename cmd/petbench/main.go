@@ -18,6 +18,12 @@
 // run as a metric/value table. Every scenario flag set explicitly (-topo,
 // -spines, -leaves, -hosts, -seed, -shards) overrides the document's field,
 // and -quick shrinks its measurement windows.
+//
+// GOMAXPROCS bounds the parallelism: an experiment's result cells run
+// concurrently, up to GOMAXPROCS simulations at a time, and ACC's switch
+// agents learn in parallel within each interval. The tables are
+// byte-identical at any GOMAXPROCS; only the order of the progress lines
+// on stderr varies. GOMAXPROCS=1 runs everything one after another.
 package main
 
 import (
