@@ -27,9 +27,10 @@ test:
 	$(GO) test ./...
 
 # Every test in the tree under the race detector, twice: the chaos, store,
-# serve, shard and scenario suites all exercise goroutines (fleet workers,
-# the replica pool, sharded lanes), and the second run meets warm on-disk
-# and in-process state. One tier, so a renamed test cannot fall out of it.
+# serve and bench suites all exercise goroutines (fleet workers, the
+# replica pool, the runner's concurrent cells, ACC's parallel learners),
+# and the second run meets warm on-disk and in-process state. One tier, so
+# a renamed test cannot fall out of it.
 race:
 	$(GO) test -race -count=2 ./...
 

@@ -16,7 +16,7 @@
 // -scenario skips the paper catalog and instead executes one declarative
 // scenario document (the same JSON petsim and petd accept), rendering the
 // run as a metric/value table. Every scenario flag set explicitly (-topo,
-// -spines, -leaves, -hosts, -seed, -shards) overrides the document's field,
+// -spines, -leaves, -hosts, -seed) overrides the document's field,
 // and -quick shrinks its measurement windows.
 //
 // GOMAXPROCS bounds the parallelism: an experiment's result cells run
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvDir = fs.String("csv", "", "also write each table as CSV into this directory")
 	)
 	var sf pet.ScenarioFlags
-	sf.Register(fs, "scenario", "topo", "spines", "leaves", "hosts", "shards", "seed")
+	sf.Register(fs, "scenario", "topo", "spines", "leaves", "hosts", "seed")
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
 	var info pet.InfoFlags
@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	r := pet.NewRunner()
-	r.Topo, r.Seed, r.Shards = s.Topo, s.Seed, s.Shards
+	r.Topo, r.Seed = s.Topo, s.Seed
 	r.Seeds = *seeds
 	r.Telemetry = tf.Registry
 	if r.Topo.Leaves*r.Topo.HostsPerLeaf >= 100 {

@@ -31,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	models := fs.String("models", "", "PET model bundle from pettrain")
 	traceF := fs.String("trace", "", "write an event trace CSV to this path")
 	var sf pet.ScenarioFlags
-	sf.Register(fs, "scenario", "scheme", "transport", "topo", "spines", "leaves", "hosts", "shards",
+	sf.Register(fs, "scenario", "scheme", "transport", "topo", "spines", "leaves", "hosts",
 		"workload", "load", "incast", "fanin", "train", "warmup", "duration", "seed")
 	var tf pet.TelemetryFlag
 	tf.Register(fs)

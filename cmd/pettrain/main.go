@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet     = fs.Bool("q", false, "suppress per-round progress on stderr")
 	)
 	var sf pet.ScenarioFlags
-	sf.Register(fs, "scenario", "topo", "shards", "workload", "load", "duration", "seed")
+	sf.Register(fs, "scenario", "topo", "workload", "load", "duration", "seed")
 	// Here -duration is one training episode, 100ms unless set.
 	episodeF := fs.Lookup("duration")
 	episodeF.Usage, episodeF.DefValue = "simulated training time per episode", "100ms"

@@ -43,12 +43,6 @@ type Runner struct {
 	// can be watched live over HTTP. Observation-only, like everywhere.
 	Telemetry *telemetry.Registry
 
-	// Shards is threaded into every scenario (see Scenario.Shards): <=1
-	// keeps the classic single event loop, >=2 runs each simulation on a
-	// sharded engine. Results are identical either way; only wall-clock
-	// changes.
-	Shards int
-
 	// Progress, when non-nil, receives a line for each simulation the
 	// runner is about to execute — cache misses only, so the stream tracks
 	// real work. CLIs point it at stderr to narrate long sweeps. Calls never
@@ -163,7 +157,7 @@ func simDur(t sim.Time) *SimDuration {
 }
 
 // base is the document every cell overlays: the runner's fabric, seed,
-// incast mix, windows and shards, on the DCQCN transport, all written out.
+// incast mix and windows, on the DCQCN transport, all written out.
 func (r *Runner) base() ScenarioSpec {
 	c := r.Topo
 	return ScenarioSpec{
@@ -178,7 +172,6 @@ func (r *Runner) base() ScenarioSpec {
 		Transport:      string(TransportDCQCN),
 		Warmup:         simDur(r.Warmup),
 		Duration:       simDur(r.Duration),
-		Shards:         r.Shards,
 	}
 }
 

@@ -129,13 +129,10 @@ type Scenario struct {
 	// transport plugs in.
 	Transport TransportKind
 
-	// Shards selects the engine: <=1 runs the classic single event loop,
-	// >=2 partitions the fabric over that many event-loop lanes plus the
-	// control lane (topo.PartitionFabric) synchronized by conservative
-	// lookahead. Purely an execution strategy: schemes and transports are
-	// assembled identically, and results on a fixed seed match the
-	// single-loop run. CLIs map their -shards 0 to runtime.NumCPU() before
-	// the scenario is built.
+	// Shards is ignored: every scenario runs on one event loop, whatever
+	// its value. It remains only because perf/stages.go still sets it;
+	// ROADMAP item 6 deletes it together with the sim.sharded_speedup_x
+	// metric.
 	Shards int
 }
 
@@ -185,20 +182,10 @@ const ControlAlpha = 2
 // ControlInterval is the Δt every built-in scheme reconfigures at.
 const ControlInterval = 100 * sim.Microsecond
 
-// shardBarrierEvery is the global barrier cadence of a sharded run. Every
-// periodic cross-lane reader in the stack — scheme control ticks
-// (ControlInterval = 100µs), the Env queue sampler (50µs), dynecn/ACC
-// probes (200µs), flow cleanup (400µs) — fires at a multiple of this
-// 12.5µs grid (ControlInterval / 8, the queue-sample divisor), so all of
-// them execute inside the coordinator's serial barrier merge where reading
-// other lanes' state is race-free.
-const shardBarrierEvery = ControlInterval / 8
-
 // Env is a fully assembled, running scenario.
 type Env struct {
 	Scenario Scenario
-	Eng      *sim.Engine        // the control lane under sharding
-	Sharded  *sim.ShardedEngine // nil unless Scenario.Shards >= 2
+	Eng      *sim.Engine
 	LS       *topo.LeafSpine
 	Net      *netsim.Network
 	Tr       Transport
@@ -263,33 +250,12 @@ func NewEnv(s Scenario) (*Env, error) {
 		return nil, err
 	}
 	ls := topo.BuildLeafSpine(s.Topo)
-	ncfg := netsim.Config{BufferPerQueue: 4 << 20, Telemetry: s.Telemetry}
-	var (
-		eng *sim.Engine
-		se  *sim.ShardedEngine
-		net *netsim.Network
-	)
-	if s.Shards >= 2 {
-		part := topo.PartitionFabric(ls, s.Shards)
-		if part.Lanes > 1 && part.CutDelay <= 0 {
-			return nil, fmt.Errorf("bench: sharded run needs positive link delays; topology has a zero-delay cut")
-		}
-		se = sim.NewSharded(part.Lanes, part.CutDelay)
-		se.SetBarrierEvery(shardBarrierEvery)
-		eng = se.Lane(0)
-		net = netsim.NewSharded(se, part, ls.Graph, s.Seed, ncfg)
-		if s.Telemetry != nil {
-			se.SetObserver(newShardObserver(s.Telemetry, part.Lanes))
-		}
-	} else {
-		eng = sim.NewEngine()
-		net = netsim.New(eng, ls.Graph, s.Seed, ncfg)
-	}
+	eng := sim.NewEngine()
+	net := netsim.New(eng, ls.Graph, s.Seed, netsim.Config{BufferPerQueue: 4 << 20, Telemetry: s.Telemetry})
 
 	e := &Env{
 		Scenario:  s,
 		Eng:       eng,
-		Sharded:   se,
 		LS:        ls,
 		Net:       net,
 		Collector: &stats.FCTCollector{},
@@ -422,12 +388,6 @@ func (e *Env) RunContext(ctx context.Context) (Result, error) {
 	for i, ev := range s.Events {
 		do, at := e.events[i], ev.At.Time()
 		e.Eng.At(at, func() { do(e) })
-		if e.Sharded != nil {
-			// Perturbations read and write cross-lane state (link flips,
-			// routing recomputes), so each event instant becomes a one-off
-			// global barrier and the hook runs in the serial merge.
-			e.Sharded.AddBarrier(at)
-		}
 	}
 	// Queue sampling at a fine cadence, mirroring the paper's Table I.
 	e.queueTick = sim.NewTicker(e.Eng, 50*sim.Microsecond, func(sim.Time) {
@@ -471,20 +431,9 @@ func (e *Env) runUntilChunked(ctx context.Context, from, until sim.Time) error {
 		if now > until {
 			now = until
 		}
-		e.runEngineUntil(now)
+		e.Eng.RunUntil(now)
 	}
 	return ctx.Err()
-}
-
-// runEngineUntil advances whichever engine drives this env. Sharded horizons
-// are implicit barriers, so chunk boundaries stay invisible to the model:
-// every lane is parked at the same instant either way.
-func (e *Env) runEngineUntil(t sim.Time) {
-	if e.Sharded != nil {
-		e.Sharded.RunUntil(t)
-		return
-	}
-	e.Eng.RunUntil(t)
 }
 
 // Result summarizes one completed run.
@@ -666,7 +615,7 @@ func PretrainEpisode(ctx context.Context, s Scenario, dur sim.Time, seed int64, 
 		if now > dur {
 			now = dur
 		}
-		env.runEngineUntil(now)
+		env.Eng.RunUntil(now)
 	}
 	if err := ctx.Err(); err != nil {
 		return EpisodeStats{}, fmt.Errorf("bench: episode cancelled at %v: %w", dur, err)

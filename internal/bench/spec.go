@@ -16,7 +16,7 @@ import (
 
 // This file is the scenario DSL: one versioned JSON document that describes
 // a complete run — topology preset plus overrides, workload mix, scheme ×
-// transport, reward weights, durations, shards and perturbation events — and
+// transport, reward weights, durations and perturbation events — and
 // round-trips through Encode/Decode into the exact Scenario a Go caller
 // would have hand-built. Decoding is strict: unknown keys, malformed values
 // and unregistered names all yield a *SpecError naming the offending JSON
@@ -253,7 +253,11 @@ type ScenarioSpec struct {
 
 	HistoryK     int         `json:"history_k,omitempty"`
 	SeriesWindow SimDuration `json:"series_window,omitempty"`
-	Shards       int         `json:"shards,omitempty"`
+
+	// Shards is accepted at 0 or 1 for documents written when runs could
+	// be sharded; every run uses one event loop, and ToScenario rejects a
+	// larger value.
+	Shards int `json:"shards,omitempty"`
 
 	Events []EventSpec `json:"events,omitempty"`
 }
@@ -380,10 +384,12 @@ func (sp *ScenarioSpec) ToScenario() (Scenario, error) {
 	}
 	s.HistoryK = sp.HistoryK
 	s.SeriesWindow = sp.SeriesWindow.Time()
-	if sp.Shards < 0 {
+	switch {
+	case sp.Shards < 0:
 		return s, specErr("shards", "%d is negative", sp.Shards)
+	case sp.Shards > 1:
+		return s, specErr("shards", "%d is not supported: every run uses one event loop (0 or 1)", sp.Shards)
 	}
-	s.Shards = sp.Shards
 
 	for i, ev := range sp.Events {
 		if _, err := ev.compile(); err != nil {

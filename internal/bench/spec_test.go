@@ -362,17 +362,51 @@ func TestSpecRunMatchesHandBuiltWithEvents(t *testing.T) {
 	})
 }
 
-func TestSpecRunMatchesHandBuiltSharded(t *testing.T) {
-	doc := `{
+// shardedDoc is a document written when runs could be sharded; shards is
+// spliced in after the duration.
+const shardedDoc = `{
 		"seed": 3,
 		"workload": {"name": "datamining"},
 		"load": 0.4,
 		"scheme": "SECN2",
 		"warmup": "200us",
-		"duration": "800us",
-		"shards": 2
+		"duration": "800us"%s
 	}`
-	assertIdenticalRuns(t, doc, bench.Scenario{
+
+// A document asking for more than one event loop is rejected at shards:
+// every run uses one loop.
+func TestSpecRejectsShardedDocument(t *testing.T) {
+	spec, err := bench.DecodeScenarioSpec([]byte(fmt.Sprintf(shardedDoc, `, "shards": 2`)))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	_, err = spec.ToScenario()
+	var se *bench.SpecError
+	if !errors.As(err, &se) || se.Path != "shards" {
+		t.Fatalf("ToScenario of shards 2 = %v, want a *SpecError at shards", err)
+	}
+}
+
+// "shards": 1 is accepted and changes nothing: it builds the same Scenario
+// as the document without the key, and runs byte-identically to the
+// hand-built one.
+func TestSpecShardsOneRunsAsSingleLoop(t *testing.T) {
+	toScenario := func(doc string) bench.Scenario {
+		spec, err := bench.DecodeScenarioSpec([]byte(doc))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		s, err := spec.ToScenario()
+		if err != nil {
+			t.Fatalf("ToScenario: %v", err)
+		}
+		return s
+	}
+	one := fmt.Sprintf(shardedDoc, `, "shards": 1`)
+	if a, b := toScenario(one), toScenario(fmt.Sprintf(shardedDoc, "")); !reflect.DeepEqual(a, b) {
+		t.Fatalf("shards 1 builds a different Scenario:\n%+v\n%+v", a, b)
+	}
+	assertIdenticalRuns(t, one, bench.Scenario{
 		Seed:     3,
 		Workload: workload.DataMining(),
 		Load:     0.4, ExplicitLoad: true,
@@ -380,7 +414,6 @@ func TestSpecRunMatchesHandBuiltSharded(t *testing.T) {
 		Beta1:  0.7, Beta2: 0.3, ExplicitBetas: true,
 		Warmup: 200 * sim.Microsecond, ExplicitWarmup: true,
 		Duration: 800 * sim.Microsecond,
-		Shards:   2,
 	})
 }
 

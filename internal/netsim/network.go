@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pet/internal/rng"
 	"pet/internal/sim"
@@ -46,9 +45,7 @@ func (c Config) withDefaults() Config {
 // Network ties an engine, a topology and its routing tables together with
 // the per-direction egress ports and host endpoints.
 type Network struct {
-	eng     *sim.Engine        // control-lane engine; the only engine when unsharded
-	sh      *sim.ShardedEngine // nil unless built with NewSharded
-	laneOf  []int32            // lane per node; nil when unsharded
+	eng     *sim.Engine
 	g       *topo.Graph
 	routing *topo.Routing
 	cfg     Config
@@ -67,56 +64,19 @@ type Network struct {
 
 	tm netMetrics
 
-	pools     []packetPool // one per lane; each touched only by its lane's events
-	deliverFn func(any)    // cached propagation callback; arg is the *Packet
+	pool      packetPool
+	deliverFn func(any) // cached propagation callback; arg is the *Packet
 
-	dropsUnreachable atomic.Uint64
+	dropsUnreachable uint64
 }
 
 // New builds the runtime network over a topology. The graph must not gain
 // nodes or links afterwards (link Up state may change freely).
 func New(eng *sim.Engine, g *topo.Graph, seed int64, cfg Config) *Network {
-	return build(eng, nil, nil, g, seed, cfg)
-}
-
-// NewSharded builds the network over a sharded engine: every port schedules
-// on its node's lane, packet pools are per-lane, and propagation across a
-// lane boundary becomes a timestamped mailbox handoff. The partition must
-// cover the graph and its cut delay must be at least the engine's
-// lookahead, or the conservative synchronization guarantee breaks. PFC is
-// not supported under sharding — pause signalling mutates a neighbor
-// switch's port synchronously, which has no race-free cross-lane ordering.
-func NewSharded(sh *sim.ShardedEngine, part topo.Partition, g *topo.Graph, seed int64, cfg Config) *Network {
-	if part.Lanes != sh.Lanes() {
-		panic(fmt.Sprintf("netsim: partition has %d lanes, engine %d", part.Lanes, sh.Lanes()))
-	}
-	if err := part.Validate(g); err != nil {
-		panic(err.Error())
-	}
-	if part.Lanes > 1 && part.CutDelay < sh.Lookahead() {
-		panic(fmt.Sprintf("netsim: partition cut delay %v below engine lookahead %v", part.CutDelay, sh.Lookahead()))
-	}
-	if cfg.PFC.Enabled {
-		panic("netsim: PFC is not supported on a sharded engine")
-	}
-	return build(sh.Lane(0), sh, part.Of, g, seed, cfg)
-}
-
-// build is the shared constructor. laneOf is nil for a single-engine
-// network; otherwise eng is the sharded engine's lane 0. Random streams are
-// derived exactly as in the unsharded path, so a one-lane sharded network
-// draws byte-identical randomness.
-func build(eng *sim.Engine, sh *sim.ShardedEngine, laneOf []int32, g *topo.Graph, seed int64, cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	root := rng.New(seed)
-	lanes := 1
-	if sh != nil {
-		lanes = sh.Lanes()
-	}
 	n := &Network{
 		eng:       eng,
-		sh:        sh,
-		laneOf:    laneOf,
 		g:         g,
 		cfg:       cfg,
 		ports:     make([][2]*Port, len(g.Links)),
@@ -127,17 +87,6 @@ func build(eng *sim.Engine, sh *sim.ShardedEngine, laneOf []int32, g *topo.Graph
 		sbCfg:     cfg.SharedBuffer.withDefaults(),
 		sharedBuf: make(map[topo.NodeID]*sharedBufState),
 		tm:        newNetMetrics(cfg.Telemetry),
-		pools:     make([]packetPool, lanes),
-	}
-	if n.sbCfg.Enabled {
-		// Pre-populate so lanes never insert into the shared map
-		// concurrently; each switch's state is then only touched by the
-		// lane owning that switch.
-		for _, node := range g.Nodes {
-			if node.Kind != topo.Host {
-				n.sharedBuf[node.ID] = &sharedBufState{}
-			}
-		}
 	}
 	n.deliverFn = func(arg any) {
 		pkt := arg.(*Packet)
@@ -169,22 +118,6 @@ func build(eng *sim.Engine, sh *sim.ShardedEngine, laneOf []int32, g *topo.Graph
 	}
 	n.routing = topo.ComputeRouting(g)
 	return n
-}
-
-// laneFor returns the lane owning a node's events (0 when unsharded).
-func (n *Network) laneFor(node topo.NodeID) int32 {
-	if n.laneOf == nil {
-		return 0
-	}
-	return n.laneOf[node]
-}
-
-// laneEngine returns the engine a node's events run on.
-func (n *Network) laneEngine(node topo.NodeID) *sim.Engine {
-	if n.sh == nil {
-		return n.eng
-	}
-	return n.sh.Lane(int(n.laneOf[node]))
 }
 
 // Engine returns the event engine driving this network.
@@ -246,7 +179,7 @@ func (n *Network) SendFromHost(h topo.NodeID, pkt *Packet) {
 	pkt.assertLive("SendFromHost")
 	p := n.HostPort(h)
 	if pkt.SentAt == 0 {
-		pkt.SentAt = p.eng.Now()
+		pkt.SentAt = n.eng.Now()
 	}
 	p.Enqueue(pkt)
 }
@@ -260,7 +193,7 @@ func (n *Network) deliver(node topo.NodeID, via topo.LinkID, pkt *Packet) {
 		if ep := n.endpoints[node]; ep != nil {
 			ep.Deliver(pkt)
 		}
-		n.releasePacket(n.laneFor(node), pkt)
+		n.releasePacket(pkt)
 		return
 	}
 	n.forward(node, via, pkt)
@@ -272,9 +205,9 @@ func (n *Network) deliver(node topo.NodeID, via topo.LinkID, pkt *Packet) {
 func (n *Network) forward(sw topo.NodeID, via topo.LinkID, pkt *Packet) {
 	hops := n.routing.NextHops(sw, pkt.Dst)
 	if len(hops) == 0 {
-		n.dropsUnreachable.Add(1)
+		n.dropsUnreachable++
 		n.tm.dropsNoRoute.Inc()
-		n.releasePacket(n.laneFor(sw), pkt)
+		n.releasePacket(pkt)
 		return
 	}
 	idx := 0
@@ -290,7 +223,7 @@ func (n *Network) forward(sw topo.NodeID, via topo.LinkID, pkt *Packet) {
 
 // DropsUnreachable counts packets discarded for lack of a route (only
 // possible while links are down).
-func (n *Network) DropsUnreachable() uint64 { return n.dropsUnreachable.Load() }
+func (n *Network) DropsUnreachable() uint64 { return n.dropsUnreachable }
 
 // SetLinkUp changes a link's state and recomputes routing. In-queue packets
 // on a downed link are discarded at transmit time.

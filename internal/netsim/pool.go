@@ -1,7 +1,5 @@
 package netsim
 
-import "pet/internal/topo"
-
 // packetPool recycles Packet structs for one network. The simulator burns
 // through millions of short-lived packets per episode; without recycling,
 // allocator pressure — not arithmetic — bounds events per second.
@@ -48,22 +46,9 @@ func (pp *packetPool) put(p *Packet) {
 
 // NewPacket returns a zeroed packet owned by the caller until it is passed
 // to SendFromHost or Enqueue, after which the network owns it and will
-// recycle it once delivered or dropped. On a sharded network this draws
-// from the control lane's pool — the lane transports run on; callers
-// injecting from fabric lanes use NewPacketAt.
-func (n *Network) NewPacket() *Packet { return n.pools[0].get() }
+// recycle it once delivered or dropped.
+func (n *Network) NewPacket() *Packet { return n.pool.get() }
 
-// NewPacketAt returns a zeroed packet from the pool of the lane owning
-// `node`, for callers whose events run on that lane. Identical to NewPacket
-// on an unsharded network.
-func (n *Network) NewPacketAt(node topo.NodeID) *Packet {
-	return n.pools[n.laneFor(node)].get()
-}
-
-// releasePacket returns a packet to the releasing lane's pool. Internal:
-// all terminal points of the packet lifecycle live inside netsim, and each
-// terminal site knows the lane its event runs on. A packet released on a
-// lane other than the one it was drawn from is simply absorbed — the same
-// foreign-packet semantics the pool has always had — and symmetric traffic
-// keeps the per-lane populations balanced.
-func (n *Network) releasePacket(lane int32, p *Packet) { n.pools[lane].put(p) }
+// releasePacket returns a packet to the pool. Internal: all terminal points
+// of the packet lifecycle live inside netsim.
+func (n *Network) releasePacket(p *Packet) { n.pool.put(p) }

@@ -43,7 +43,7 @@ func TestPoolDrainsToFreeList(t *testing.T) {
 		net.SendFromHost(h0, pkt)
 	}
 	eng.Run()
-	if got := len(net.pools[0].free); got != 100 {
+	if got := len(net.pool.free); got != 100 {
 		t.Fatalf("pool holds %d packets after drain, want 100", got)
 	}
 
@@ -54,7 +54,7 @@ func TestPoolDrainsToFreeList(t *testing.T) {
 		net.SendFromHost(h0, pkt)
 	}
 	eng.Run()
-	if got := len(net.pools[0].free); got != 100 {
+	if got := len(net.pool.free); got != 100 {
 		t.Fatalf("pool grew to %d packets on reused traffic, want 100", got)
 	}
 }
@@ -64,7 +64,7 @@ func TestPoolDrainsToFreeList(t *testing.T) {
 func TestPoolReleasesOnDrop(t *testing.T) {
 	eng, ls, net := buildTiny(t, Config{})
 	h0, h2 := ls.Hosts[0], ls.Hosts[2] // cross-leaf: transits the spine
-	before := len(net.pools[0].free)
+	before := len(net.pool.free)
 
 	pkt := net.NewPacket()
 	pkt.Flow, pkt.Src, pkt.Dst, pkt.Kind, pkt.Size = 1, h0, h2, Data, 1000
@@ -83,7 +83,7 @@ func TestPoolReleasesOnDrop(t *testing.T) {
 	if net.DropsUnreachable() == 0 {
 		t.Fatal("expected a no-route drop")
 	}
-	if got := len(net.pools[0].free); got != before+1 {
+	if got := len(net.pool.free); got != before+1 {
 		t.Fatalf("pool holds %d packets after drop, want %d", got, before+1)
 	}
 }

@@ -55,8 +55,6 @@ type Port struct {
 	net   *Network
 	owner topo.NodeID
 	link  topo.LinkID
-	eng   *sim.Engine // the owner node's lane engine (== net.eng unsharded)
-	lane  int32       // the owner node's lane; 0 unsharded
 
 	ctrl    fifo
 	ctrlCap int // packets
@@ -78,8 +76,6 @@ func newPort(net *Network, owner topo.NodeID, link topo.LinkID, nQueues, bufCap 
 		net:     net,
 		owner:   owner,
 		link:    link,
-		eng:     net.laneEngine(owner),
-		lane:    net.laneFor(owner),
 		ctrlCap: 4096,
 		bufCap:  bufCap,
 		rng:     r,
@@ -146,7 +142,7 @@ func (p *Port) Enqueue(pkt *Packet) bool {
 		if p.ctrl.len() >= p.ctrlCap {
 			p.stats.DropsOverflow++
 			p.net.tm.dropsOverflow.Inc()
-			p.net.releasePacket(p.lane, pkt)
+			p.net.releasePacket(pkt)
 			return false
 		}
 		p.ctrl.push(pkt)
@@ -155,13 +151,13 @@ func (p *Port) Enqueue(pkt *Packet) bool {
 		if dq.bytes+pkt.Size > p.bufCap {
 			p.stats.DropsOverflow++
 			p.net.tm.dropsOverflow.Inc()
-			p.net.releasePacket(p.lane, pkt)
+			p.net.releasePacket(pkt)
 			return false
 		}
 		if !p.net.sharedAdmit(p.owner, dq.bytes, pkt.Size) {
 			p.stats.DropsOverflow++
 			p.net.tm.dropsOverflow.Inc()
-			p.net.releasePacket(p.lane, pkt)
+			p.net.releasePacket(pkt)
 			return false
 		}
 		if pkt.ECT && p.rng.Bernoulli(dq.ecn.markProb(dq.bytes)) {
@@ -231,7 +227,7 @@ func (p *Port) kick() {
 	}
 	p.busy = true
 	tx := sim.TransmitTime(pkt.Size, p.Bandwidth())
-	p.eng.AfterArg(tx, p.completeFn, pkt)
+	p.net.eng.AfterArg(tx, p.completeFn, pkt)
 }
 
 // complete finishes serialization: update counters, fire taps, propagate the
@@ -260,18 +256,11 @@ func (p *Port) complete(pkt *Packet) {
 	if link.Up {
 		pkt.hopNode = link.Peer(p.owner)
 		pkt.hopLink = link.ID
-		// Propagation within the lane is a plain scheduled event; across
-		// lanes it becomes a mailbox handoff, which also transfers packet
-		// ownership (the epoch barrier provides the happens-before edge).
-		if to := p.net.laneFor(pkt.hopNode); to != p.lane {
-			p.net.sh.Send(p.lane, to, link.Delay, p.net.deliverFn, pkt)
-		} else {
-			p.eng.AfterArg(link.Delay, p.net.deliverFn, pkt)
-		}
+		p.net.eng.AfterArg(link.Delay, p.net.deliverFn, pkt)
 	} else {
 		p.stats.DropsLinkDown++
 		p.net.tm.dropsLinkDown.Inc()
-		p.net.releasePacket(p.lane, pkt)
+		p.net.releasePacket(pkt)
 	}
 	p.kick()
 }

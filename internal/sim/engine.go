@@ -23,16 +23,6 @@ type event struct {
 	tier       tier
 	index      int
 	next, prev *event
-
-	// Birth metadata for the sharded comparator. birthAt is the engine
-	// clock when the event was scheduled and birthLane the scheduling
-	// lane's index. On a lone engine both are redundant with seq — the
-	// clock never decreases, so sorting by (at, birthAt, birthLane, seq)
-	// and by (at, seq) yield the identical order — but across lanes they
-	// make tie-breaking independent of which lane's counter happens to be
-	// further along (see sharded.go).
-	birthAt   Time
-	birthLane int32
 }
 
 // Handle identifies a scheduled event so it can be cancelled. A Handle is
@@ -66,23 +56,12 @@ func (h Handle) Cancelled() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.cancelled
 }
 
-// eventLess is the engine's total event order: fire time, then birth time,
-// then birth lane, then per-lane schedule order. For a single engine this
-// collapses to the historical (at, seq) order — schedule calls happen at a
-// nondecreasing clock on one lane, so seq order implies (birthAt, birthLane,
-// seq) order — while giving lanes of a ShardedEngine a tie-break that does
-// not depend on how far each lane's counter has advanced. It is the only
-// definition of the order: the queue's heaps and ShardedEngine.runBarrier's
-// merge both compare with it.
+// eventLess is the engine's total event order: fire time, then schedule
+// order. seq is unique per engine, so no two events compare equal. It is
+// the only definition of the order: the queue's heaps compare with it.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.birthAt != b.birthAt {
-		return a.birthAt < b.birthAt
-	}
-	if a.birthLane != b.birthLane {
-		return a.birthLane < b.birthLane
 	}
 	return a.seq < b.seq
 }
@@ -97,7 +76,6 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	fired   uint64
-	lane    int32 // index within a ShardedEngine; 0 for standalone engines
 }
 
 // NewEngine returns an engine with its clock at time zero.
@@ -147,8 +125,6 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Handle {
 	ev.fn = fn
 	ev.afn = afn
 	ev.arg = arg
-	ev.birthAt = e.now
-	ev.birthLane = e.lane
 	e.seq++
 	e.q.push(ev)
 	return Handle{eng: e, ev: ev, gen: ev.gen}
@@ -234,39 +210,3 @@ func (e *Engine) Stop() { e.stopped = true }
 // peek returns the earliest pending event without removing it, or nil.
 // Cancel removes eagerly, so the event is live.
 func (e *Engine) peek() *event { return e.q.peek() }
-
-// runBefore processes every event with timestamp strictly before h, then
-// advances the clock to exactly h. This is the sharded epoch primitive:
-// events at h itself are left for the next epoch (or the barrier merge), so
-// mailbox handoffs landing exactly on an epoch boundary are injected before
-// anything at that timestamp runs.
-func (e *Engine) runBefore(h Time) {
-	for {
-		if next := e.peek(); next == nil || next.at >= h {
-			break
-		}
-		e.Step()
-	}
-	if e.now < h {
-		e.now = h
-	}
-}
-
-// inject schedules a mailbox event carrying its birth metadata from the
-// sending lane, so the comparator orders it exactly as if the sender's
-// schedule call had happened on this engine. The sequence number comes from
-// the sender's counter; uniqueness holds because (birthLane, seq) pairs are
-// allocated by one lane each.
-func (e *Engine) inject(at, birthAt Time, birthLane int32, seq uint64, afn func(any), arg any) {
-	if at < e.now {
-		panic("sim: injecting event in the past")
-	}
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = seq
-	ev.afn = afn
-	ev.arg = arg
-	ev.birthAt = birthAt
-	ev.birthLane = birthLane
-	e.q.push(ev)
-}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -235,5 +237,31 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestComparatorSingleEngineOrder pins the (at, seq) order: events at the
+// same instant run in schedule order, whatever clock times they were
+// scheduled at.
+func TestComparatorSingleEngineOrder(t *testing.T) {
+	eng := NewEngine()
+	var order []string
+	// Schedule the target instant from several earlier instants; within
+	// each scheduling instant, schedule multiple events.
+	for i := 0; i < 5; i++ {
+		eng.At(Time(i)*Microsecond, func() {
+			for k := 0; k < 3; k++ {
+				tag := fmt.Sprintf("b%d_%d", i, k)
+				eng.At(10*Microsecond, func() { order = append(order, tag) })
+			}
+		})
+	}
+	eng.RunUntil(20 * Microsecond)
+	want := []string{
+		"b0_0", "b0_1", "b0_2", "b1_0", "b1_1", "b1_2", "b2_0", "b2_1", "b2_2",
+		"b3_0", "b3_1", "b3_2", "b4_0", "b4_1", "b4_2",
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("same-instant order changed: got %v", order)
 	}
 }

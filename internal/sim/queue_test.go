@@ -106,7 +106,7 @@ func (q *queueHarness) delay() Time {
 	case 5:
 		return Millisecond + Time(q.r.Intn(int(Microsecond))) // far heap
 	case 6:
-		// Same instant as a pending event: the tie is broken by birth order.
+		// Same instant as a pending event: the tie is broken by schedule order.
 		if len(q.ref.live) > 0 {
 			at := q.ref.live[q.r.Intn(len(q.ref.live))].key.at
 			if at >= q.e.Now() {
@@ -123,7 +123,7 @@ func (q *queueHarness) schedule() {
 	d := q.delay()
 	x := &refEvent{id: q.ids}
 	q.ids++
-	x.key = event{at: q.e.Now() + d, birthAt: q.e.Now(), birthLane: q.e.lane, seq: q.seq}
+	x.key = event{at: q.e.Now() + d, seq: q.seq}
 	q.seq++
 	x.h = q.e.AfterArg(d, q.fire, x)
 	q.ref.live = append(q.ref.live, x)
@@ -195,35 +195,33 @@ func TestQueueMatchesReference(t *testing.T) {
 	}
 }
 
-// TestInjectBehindCursor covers the sharded path: after peek has moved a
-// lane's cursor ahead, a mailbox event with a foreign birth key that lands
-// before the cursor's bucket must still fire first, and ties at the
-// cursor's instant follow (birthAt, birthLane, seq).
+// TestInjectBehindCursor covers scheduling behind a cursor that a peek has
+// moved ahead: RunUntil peeks at the first event past its horizon, which
+// moves the cursor to that event's bucket, and events then scheduled for
+// earlier buckets, for the cursor's own instant and past the ring must all
+// still fire in (at, seq) order.
 func TestInjectBehindCursor(t *testing.T) {
-	e := &Engine{lane: 1}
+	e := NewEngine()
 	var order []string
 	log := func(arg any) { order = append(order, arg.(string)) }
-	e.AtArg(3*Microsecond, log, "own@3us")
-	e.AtArg(3*Microsecond+ringSpan, log, "own@far")
-	if ev := e.peek(); ev == nil || ev.at != 3*Microsecond {
-		t.Fatalf("peek = %v, want the 3us event", ev)
+	e.AtArg(3*Microsecond, log, "old@3us")
+	e.AtArg(3*Microsecond+ringSpan, log, "old@far")
+	e.RunUntil(2 * Microsecond)
+	if e.Now() != 2*Microsecond || len(order) != 0 {
+		t.Fatalf("RunUntil(2us): Now = %v, fired %v", e.Now(), order)
 	}
 	if e.q.cur != bucketOf(3*Microsecond) {
-		t.Fatalf("peek left the cursor at bucket %d, want %d", e.q.cur, bucketOf(3*Microsecond))
+		t.Fatalf("RunUntil's peek left the cursor at bucket %d, want %d", e.q.cur, bucketOf(3*Microsecond))
 	}
-	e.inject(Microsecond, 0, 0, 41, log, "lane0@1us")
-	e.inject(3*Microsecond, 0, 0, 42, log, "lane0@3us")
-	e.inject(3*Microsecond, 0, 2, 0, log, "lane2@3us")
-	e.inject(2*Microsecond+ringSpan, 0, 0, 43, log, "lane0@far")
+	e.AtArg(3*Microsecond, log, "new@3us")
+	e.AtArg(2*Microsecond+ringSpan, log, "new@far")
+	e.AtArg(2500*Nanosecond, log, "new@2.5us")
+	e.AtArg(2*Microsecond, log, "new@2us")
 	if e.Pending() != 6 {
 		t.Fatalf("Pending = %d, want 6", e.Pending())
 	}
-	e.runBefore(3 * Microsecond)
-	if e.Pending() != 5 || e.Now() != 3*Microsecond {
-		t.Fatalf("after runBefore(3us): Pending = %d, Now = %v", e.Pending(), e.Now())
-	}
 	e.RunUntil(Second)
-	want := []string{"lane0@1us", "lane0@3us", "own@3us", "lane2@3us", "lane0@far", "own@far"}
+	want := []string{"new@2us", "new@2.5us", "old@3us", "new@3us", "new@far", "old@far"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

@@ -90,8 +90,8 @@ func (c LeafSpineConfig) Validate() error {
 
 // MediumScale sits between SmallScale and PaperScale: 72 hosts across 6
 // leaves and 3 spines with the paper's 1:1 leaf capacity ratio (12×10 Gbps
-// host ports against 3×40 Gbps uplinks per leaf), big enough to show
-// sharding gains without paper-scale runtimes.
+// host ports against 3×40 Gbps uplinks per leaf), big enough to load a
+// multi-hop fabric without paper-scale runtimes.
 func MediumScale() LeafSpineConfig {
 	return LeafSpineConfig{
 		Spines:       3,

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -180,4 +181,45 @@ func TestRoutingShortestPathProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestPresetLookup(t *testing.T) {
+	for _, name := range Presets() {
+		cfg, err := Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: invalid preset: %v", name, err)
+		}
+	}
+	cfg, err := Preset("paper")
+	if err != nil || cfg.Leaves != 12 || cfg.Spines != 6 || cfg.HostsPerLeaf*cfg.Leaves != 288 {
+		t.Fatalf("paper preset wrong: %+v, %v", cfg, err)
+	}
+	_, err = Preset("gigantic")
+	var upe *UnknownPresetError
+	if !errors.As(err, &upe) || upe.Name != "gigantic" {
+		t.Fatalf("unknown preset error: %v", err)
+	}
+}
+
+func TestValidateTypedErrors(t *testing.T) {
+	bad := PaperScale()
+	bad.Leaves = 0
+	var ce *ConfigError
+	if err := bad.Validate(); !errors.As(err, &ce) || ce.Field != "leaf count" {
+		t.Fatalf("want leaf-count ConfigError, got %v", err)
+	}
+	bad = PaperScale()
+	bad.UplinkBps = bad.HostLinkBps / 2
+	if err := bad.Validate(); !errors.As(err, &ce) {
+		t.Fatalf("want oversubscription ConfigError, got %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildLeafSpine on invalid config did not panic")
+		}
+	}()
+	BuildLeafSpine(LeafSpineConfig{})
 }

@@ -42,7 +42,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -378,7 +377,7 @@ func (f *InfoFlags) Handle(stdout io.Writer) (done bool) {
 // -scenario names the base document; without it the base is the CLI default
 // document: the tiny fabric, websearch at load 0.6 with a 0.2 incast share
 // of fan-in 3, seed 1, PET over dcqcn with training on, 20ms warmup plus
-// 60ms measurement, one shard. With -scenario each flag the user set
+// 60ms measurement. With -scenario each flag the user set
 // overwrites its document field; without it every registered flag does. The
 // CLI then calls ToScenario on the result, so a flag is validated exactly
 // like the document field it writes.
@@ -388,18 +387,18 @@ type ScenarioFlags struct {
 	fs         *flag.FlagSet
 	registered map[string]bool
 
-	topo, workload, scheme, transport    string
-	spines, leaves, hosts, shards, fanIn int
-	seed                                 int64
-	load, incast                         float64
-	train                                bool
-	warmup, duration                     time.Duration
+	topo, workload, scheme, transport string
+	spines, leaves, hosts, fanIn      int
+	seed                              int64
+	load, incast                      float64
+	train                             bool
+	warmup, duration                  time.Duration
 }
 
 // scenarioFlagNames are the flags ScenarioFlags can install, in the order
 // they overwrite the document: -topo replaces the whole fabric before
 // -spines/-leaves/-hosts adjust it.
-var scenarioFlagNames = [...]string{"scenario", "seed", "topo", "spines", "leaves", "hosts", "shards",
+var scenarioFlagNames = [...]string{"scenario", "seed", "topo", "spines", "leaves", "hosts",
 	"workload", "load", "incast", "fanin", "scheme", "transport", "train", "warmup", "duration"}
 
 // defaultScenarioSpec is the CLI default document.
@@ -412,12 +411,12 @@ func defaultScenarioSpec() *bench.ScenarioSpec {
 		Workload: &bench.WorkloadSpec{Name: "websearch"},
 		Load:     &load, IncastFraction: 0.2, IncastFanIn: 3,
 		Scheme: string(SchemePET), Transport: string(bench.TransportDCQCN), Train: true,
-		Warmup: &warmup, Duration: &duration, Shards: 1,
+		Warmup: &warmup, Duration: &duration,
 	}
 }
 
 // Register installs the named flags — any of scenario, seed, topo, spines,
-// leaves, hosts, shards, workload, load, incast, fanin, scheme, transport,
+// leaves, hosts, workload, load, incast, fanin, scheme, transport,
 // train, warmup, duration — each defaulting to the default document's value.
 func (f *ScenarioFlags) Register(fs *flag.FlagSet, names ...string) {
 	d := defaultScenarioSpec()
@@ -440,8 +439,6 @@ func (f *ScenarioFlags) Register(fs *flag.FlagSet, names ...string) {
 			fs.IntVar(&f.leaves, name, 0, "override the preset's leaf count")
 		case "hosts":
 			fs.IntVar(&f.hosts, name, 0, "override the preset's hosts per leaf")
-		case "shards":
-			fs.IntVar(&f.shards, name, d.Shards, "event-loop shards per simulation (0 = one per CPU, 1 = single loop)")
 		case "workload":
 			fs.StringVar(&f.workload, name, d.Workload.Name, "registered workload name: "+strings.Join(workload.Names(), "|"))
 		case "load":
@@ -509,11 +506,6 @@ func (f *ScenarioFlags) Spec() (*bench.ScenarioSpec, error) {
 		case "hosts":
 			if f.hosts > 0 {
 				fabric().HostsPerLeaf = f.hosts
-			}
-		case "shards":
-			sp.Shards = f.shards
-			if sp.Shards == 0 {
-				sp.Shards = runtime.NumCPU()
 			}
 		case "workload":
 			sp.Workload = &bench.WorkloadSpec{Name: f.workload}
