@@ -1,7 +1,7 @@
 # Verification tiers. `make ci` is the full gate; see README.md.
 GO ?= go
 
-.PHONY: build build-examples vet lint test race identity-serial test-pool bench-smoke perf-module perf ci
+.PHONY: build build-examples vet lint test race identity-serial test-pool bench-smoke perf-module perf fuzz ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,18 @@ bench-smoke:
 perf-module:
 	$(GO) -C perf vet ./...
 	$(GO) -C perf test ./...
+
+# Every Fuzz* target in turn for FUZZTIME each (`make fuzz FUZZTIME=10m`).
+# Not part of ci: fuzzing is open-ended, and ci runs each target's seed
+# corpus as an ordinary test already.
+FUZZTIME ?= 30s
+fuzz:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | grep -v '^./perf/' | xargs -n1 dirname | sort -u); do \
+		for fn in $$($(GO) test -list '^Fuzz' $$dir | grep '^Fuzz'); do \
+			echo "fuzz: $$dir $$fn ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done
 
 # The repository's one benchmark (BENCHMARK.json): five workloads, ten
 # end-to-end metrics; see perf/README.md for flags, ledgers and -compare.

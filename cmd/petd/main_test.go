@@ -116,7 +116,7 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// Lifecycle: launch a short run and watch it to completion.
 	resp, err := http.Post(base+"/experiments", "application/json",
-		strings.NewReader(`{"scheme":"SECN1","load":0.5,"warmup":"2ms","duration":"3ms"}`))
+		strings.NewReader(`{"scenario":{"load":0.5,"scheme":"SECN1","train":true,"warmup":"2ms","duration":"3ms"}}`))
 	if err != nil {
 		t.Fatalf("POST /experiments: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// Launch a long job, cancel it over HTTP, then shut the daemon down.
 	resp, err = http.Post(base+"/experiments", "application/json",
-		strings.NewReader(`{"scheme":"SECN1","load":0.5,"duration":"2s"}`))
+		strings.NewReader(`{"scenario":{"load":0.5,"scheme":"SECN1","train":true,"duration":"2s"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestDaemonPretrainJob(t *testing.T) {
 	defer stop()
 
 	resp, err := http.Post(base+"/experiments", "application/json",
-		strings.NewReader(`{"kind":"pretrain","load":0.5,"duration":"5ms","workers":1,"rounds":1}`))
+		strings.NewReader(`{"kind":"pretrain","scenario":{"load":0.5,"scheme":"PET","train":true,"duration":"5ms"},"workers":1,"rounds":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}

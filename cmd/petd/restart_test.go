@@ -84,7 +84,7 @@ func TestKillRestartResume(t *testing.T) {
 	cmd, base := start()
 	// Enough rounds that the job cannot finish inside one poll window: the
 	// kill must land mid-run, never after a natural completion.
-	spec := fmt.Sprintf(`{"kind":"pretrain","load":0.5,"duration":"3ms","workers":1,"rounds":40,"checkpoint":%q}`, ckpt)
+	spec := fmt.Sprintf(`{"kind":"pretrain","scenario":{"load":0.5,"scheme":"PET","train":true,"duration":"3ms"},"workers":1,"rounds":40,"checkpoint":%q}`, ckpt)
 	resp, err := http.Post(base+"/experiments", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatalf("POST /experiments: %v", err)

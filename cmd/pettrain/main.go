@@ -53,6 +53,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -89,9 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	var sf pet.ScenarioFlags
 	sf.Register(fs, "scenario", "topo", "workload", "load", "duration", "seed")
-	// Here -duration is one training episode, 100ms unless set.
+	// Here -duration is one training episode, pet.DefaultEpisode unless set.
 	episodeF := fs.Lookup("duration")
-	episodeF.Usage, episodeF.DefValue = "simulated training time per episode", "100ms"
+	episodeF.Usage, episodeF.DefValue = "simulated training time per episode", pet.DefaultEpisode.String()
 	_ = episodeF.Value.Set(episodeF.DefValue) // a valid duration literal
 	var tf pet.TelemetryFlag
 	tf.Register(fs)
@@ -118,11 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatalf(2, "%v", err)
 	}
 	// The measurement window is the per-episode training time; a document
-	// without one trains for the default 100ms.
-	episode := s.Duration
-	if episode == 0 {
-		episode = 100 * pet.Millisecond
-	}
+	// without one trains for pet.DefaultEpisode.
+	episode := cmp.Or(s.Duration, pet.DefaultEpisode)
 
 	if *workers == 0 {
 		*workers = runtime.NumCPU()

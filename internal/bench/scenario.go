@@ -45,13 +45,6 @@ const (
 	SchemePETCTDE Scheme = "PET-CTDE"
 )
 
-// AllSchemes enumerates every registered scheme, sorted — a registry-backed
-// view that can never drift from what is actually selectable (it is the same
-// list -list-schemes prints and the spec validator accepts).
-func AllSchemes() []Scheme {
-	return SchemeNames()
-}
-
 // ComparedSchemes lists the paper's four compared schemes — the fixed
 // comparison set of the evaluation figures (Sec. 5.4), a paper constant
 // rather than a registry view.
@@ -603,22 +596,8 @@ func PretrainEpisode(ctx context.Context, s Scenario, dur sim.Time, seed int64, 
 		}
 	}
 	env.Gen.Start()
-	step := dur / ctxCheckChunks
-	if step <= 0 {
-		step = dur
-	}
-	for now := sim.Time(0); now < dur; {
-		if err := ctx.Err(); err != nil {
-			return EpisodeStats{}, fmt.Errorf("bench: episode cancelled at %v of %v: %w", now, dur, err)
-		}
-		now += step
-		if now > dur {
-			now = dur
-		}
-		env.Eng.RunUntil(now)
-	}
-	if err := ctx.Err(); err != nil {
-		return EpisodeStats{}, fmt.Errorf("bench: episode cancelled at %v: %w", dur, err)
+	if err := env.runUntilChunked(ctx, 0, dur); err != nil {
+		return EpisodeStats{}, err
 	}
 	data, err := ctl.EncodeModels()
 	if err != nil {

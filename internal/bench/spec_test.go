@@ -511,24 +511,6 @@ func TestZeroLoadEventOnlyScenario(t *testing.T) {
 	}
 }
 
-// --- satellite: AllSchemes is registry-backed ---
-
-func TestAllSchemesRegistryBacked(t *testing.T) {
-	all := bench.AllSchemes()
-	names := bench.SchemeNames()
-	if !reflect.DeepEqual(all, names) {
-		t.Fatalf("AllSchemes() = %v, SchemeNames() = %v", all, names)
-	}
-	// The registry view includes schemes beyond the paper's comparison set.
-	if len(all) <= len(bench.ComparedSchemes()) {
-		t.Fatalf("registry lists %d schemes, want more than the %d compared", len(all), len(bench.ComparedSchemes()))
-	}
-	want := []bench.Scheme{bench.SchemePET, bench.SchemeACC, bench.SchemeSECN1, bench.SchemeSECN2}
-	if !reflect.DeepEqual(bench.ComparedSchemes(), want) {
-		t.Fatalf("ComparedSchemes() = %v, want %v", bench.ComparedSchemes(), want)
-	}
-}
-
 // --- event registry surface ---
 
 func TestEventKindNames(t *testing.T) {
@@ -577,5 +559,12 @@ func TestLinkEventSelectionDeterministic(t *testing.T) {
 		if !env.Net.Graph().Link(l).Up {
 			t.Fatalf("link %v down after link-up restored the failed set", l)
 		}
+	}
+}
+
+func TestComparedSchemes(t *testing.T) {
+	want := []bench.Scheme{bench.SchemePET, bench.SchemeACC, bench.SchemeSECN1, bench.SchemeSECN2}
+	if !reflect.DeepEqual(bench.ComparedSchemes(), want) {
+		t.Fatalf("ComparedSchemes() = %v, want %v", bench.ComparedSchemes(), want)
 	}
 }

@@ -58,6 +58,11 @@ import (
 )
 
 const (
+	// DefaultEpisode is the episode length a caller uses when its scenario
+	// sets no duration (pettrain's -duration default, petd's pretrain jobs).
+	// Config.Episode itself has no default: zero is rejected.
+	DefaultEpisode = 100 * sim.Millisecond
+
 	// defaultRetryBackoff is the base delay before the first retry when
 	// Config.RetryBackoff is zero; it doubles per attempt.
 	defaultRetryBackoff = 50 * time.Millisecond

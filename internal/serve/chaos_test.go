@@ -71,9 +71,7 @@ func inferBody(tb testing.TB, info InferInfo, n int) []byte {
 func quickPretrainSpec(ckpt string, rounds int) ExperimentSpec {
 	return ExperimentSpec{
 		Kind:       KindPretrain,
-		Load:       0.5,
-		Seed:       1,
-		Duration:   "3ms",
+		Scenario:   pretrainDoc("3ms"),
 		Workers:    1,
 		Rounds:     rounds,
 		Checkpoint: ckpt,
@@ -124,15 +122,15 @@ func TestJournalLifecycleReplay(t *testing.T) {
 	if jobs[1].ID != "exp-000002" || jobs[1].State != StateRunning {
 		t.Errorf("job 2 replayed as %s/%s, want exp-000002/running (mid-flight)", jobs[1].ID, jobs[1].State)
 	}
-	if jobs[1].Spec.Scheme != specA.Scheme {
-		t.Errorf("replayed spec lost its scheme: %+v", jobs[1].Spec)
+	if string(jobs[1].Spec.Scenario) != string(specA.Scenario) {
+		t.Errorf("replayed spec lost its scenario: %s", jobs[1].Spec.Scenario)
 	}
 }
 
 func TestJournalVersionSkewSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.journal")
 	spec := quickRunSpec()
-	// A well-formed entry from a future daemon, surrounded by v1 history.
+	// A well-formed entry from a future daemon, surrounded by current history.
 	entries := []JournalEntry{
 		{V: journalVersion, Time: time.Now().UTC(), ID: "exp-000001", State: StatePending, Spec: &spec},
 		{V: journalVersion + 1, Time: time.Now().UTC(), ID: "exp-000099", State: StatePending, Spec: &spec},
@@ -145,7 +143,7 @@ func TestJournalVersionSkewSkipped(t *testing.T) {
 	}
 	var warned atomic.Int32
 	logf := func(format string, a ...any) {
-		if strings.Contains(fmt.Sprintf(format, a...), "skipping v2 entry") {
+		if strings.Contains(fmt.Sprintf(format, a...), fmt.Sprintf("skipping v%d entry", journalVersion+1)) {
 			warned.Add(1)
 		}
 		t.Logf(format, a...)
@@ -160,6 +158,51 @@ func TestJournalVersionSkewSkipped(t *testing.T) {
 	jobs := jl.Replayed()
 	if len(jobs) != 1 || jobs[0].ID != "exp-000001" || jobs[0].State != StateRunning {
 		t.Fatalf("replay around the skewed entry = %+v, want one running exp-000001", jobs)
+	}
+}
+
+// TestJournalV1FlatSpecSkipped: a v1 pending entry carries flat scenario
+// fields that v2 specs no longer have. Decoded leniently it would resume on
+// a different scenario, so replay skips it with the version warning and
+// nothing is relaunched.
+func TestJournalV1FlatSpecSkipped(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.journal")
+	ckpt := filepath.Join(dir, "ckpt")
+	now := time.Now().UTC().Format(time.RFC3339Nano)
+	v1 := fmt.Sprintf(`{"v":1,"time":%q,"id":"exp-000001","state":"pending","spec":{"kind":"pretrain","scheme":"PET","load":0.5,"seed":1,"duration":"3ms","workers":1,"rounds":2,"checkpoint":%q}}`+"\n"+
+		`{"v":1,"time":%q,"id":"exp-000001","state":"running"}`+"\n", now, ckpt, now)
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var warned atomic.Int32
+	logf := func(format string, a ...any) {
+		if strings.Contains(fmt.Sprintf(format, a...), "skipping v1 entry") {
+			warned.Add(1)
+		}
+		t.Logf(format, a...)
+	}
+	jl, err := OpenJournal(path, logf, nil)
+	if err != nil {
+		t.Fatalf("a v1 journal must not fail the boot: %v", err)
+	}
+	if n := warned.Load(); n != 2 {
+		t.Errorf("v1 warning logged %d times, want once per entry (2)", n)
+	}
+	if jobs := jl.Replayed(); len(jobs) != 0 {
+		t.Fatalf("replayed v1 jobs %+v, want none", jobs)
+	}
+	srv := New(Config{MaxJobs: 1, Logf: t.Logf, Journal: jl})
+	defer func() {
+		ctx, cancel := testContext(t, time.Minute)
+		defer cancel()
+		_ = srv.Shutdown(ctx, nil)
+	}()
+	if jobs := srv.Jobs().List(); len(jobs) != 0 {
+		t.Fatalf("v1 entries relaunched as %+v", jobs)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("a skipped v1 entry trained into %s (stat: %v)", ckpt, err)
 	}
 }
 
@@ -181,7 +224,7 @@ func TestJournalTornTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"id":"exp-000001","sta`); err != nil {
+	if _, err := f.WriteString(`{"v":2,"id":"exp-000001","sta`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -197,7 +240,7 @@ func TestJournalTornTailRecovered(t *testing.T) {
 
 	// Damage before the final line is a different story: typed corruption.
 	if err := os.WriteFile(path,
-		[]byte(`{"v":1,"id":"exp-000001","state":"pending"}`+"\n"+"not json\n"+`{"v":1,"id":"exp-000001","state":"running"}`+"\n"),
+		[]byte(`{"v":2,"id":"exp-000001","state":"pending"}`+"\n"+"not json\n"+`{"v":2,"id":"exp-000001","state":"running"}`+"\n"),
 		0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -925,8 +968,7 @@ func TestWatchdogIgnoresRunJobs(t *testing.T) {
 		defer cancel()
 		_ = srv.Shutdown(ctx, nil)
 	}()
-	spec := quickRunSpec()
-	spec.Duration = "60ms" // several deadlines long
+	spec := quickRunFor("60ms") // several deadlines long
 	st, err := srv.Jobs().Launch(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -1043,8 +1085,7 @@ func TestCancelIdempotentTerminalStates(t *testing.T) {
 	}
 
 	// cancelled: first DELETE succeeds, the repeat conflicts.
-	long := quickRunSpec()
-	long.Duration = "2s"
+	long := quickRunFor("2s")
 	cancelJob, err := srv.Jobs().Launch(long)
 	if err != nil {
 		t.Fatal(err)

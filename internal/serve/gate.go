@@ -6,12 +6,13 @@ import (
 	"strings"
 
 	"pet/internal/bench"
+	"pet/internal/sim"
 )
 
 // The shadow-eval promotion gate: before a candidate bundle may take over
 // the serving channel, both it and the incumbent replay the same fixed,
-// deterministic scenario (same topology, workload, load, seed; training
-// off, so neither policy moves) and the gate compares reward, FCT
+// deterministic scenario (gateReplay: same fabric, workload, load, seed;
+// training off, so neither policy moves) and the gate compares reward, FCT
 // (slowdown) and ECN marking-rate deltas. A candidate that regresses past
 // the configured thresholds is rejected with a *GateError carrying the
 // full report — the serving model is never touched. This is the "eval"
@@ -19,21 +20,13 @@ import (
 // valve RL-CC argues deployed RL controllers need: an exploration-noisy
 // online policy never reaches traffic without a scored dress rehearsal.
 
-// GateConfig parameterizes the shadow evaluation. The zero value replays a
-// short tiny-fabric websearch scenario with lenient thresholds.
+// GateConfig parameterizes the shadow evaluation: the replay's scheme and
+// the regression thresholds. The replay itself is one fixed document (see
+// gateReplay) on the serving fabric.
 type GateConfig struct {
-	// The fixed replay scenario. Zero values take the daemon's defaults:
-	// the infer service's topo, the daemon gate's scheme (petd -scheme,
-	// default PET), websearch, load 0.5, seed 1.
-	Topo     string  `json:"topo,omitempty"`
-	Scheme   string  `json:"scheme,omitempty"`
-	Workload string  `json:"workload,omitempty"`
-	Load     float64 `json:"load,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	// Warmup and Duration are Go duration strings of simulated time
-	// (default 2ms warmup, 5ms measurement).
-	Warmup   string `json:"warmup,omitempty"`
-	Duration string `json:"duration,omitempty"`
+	// Scheme is the replay's scheme (default: the daemon gate's, petd
+	// -scheme, itself defaulting to PET).
+	Scheme string `json:"scheme,omitempty"`
 
 	// Regression thresholds, as signed fractions of the incumbent's score.
 	// A candidate passes when, for each metric, it is no worse than
@@ -62,23 +55,8 @@ const (
 
 // withDefaults fills the unset fields.
 func (g GateConfig) withDefaults() GateConfig {
-	if g.Topo == "" {
-		g.Topo = "tiny"
-	}
 	if g.Scheme == "" {
 		g.Scheme = string(bench.SchemePET)
-	}
-	if g.Load == 0 {
-		g.Load = 0.5
-	}
-	if g.Seed == 0 {
-		g.Seed = 1
-	}
-	if g.Warmup == "" {
-		g.Warmup = "2ms"
-	}
-	if g.Duration == "" {
-		g.Duration = "5ms"
 	}
 	if g.MaxSlowdownRegress == 0 {
 		g.MaxSlowdownRegress = defaultMaxSlowdownRegress
@@ -130,24 +108,31 @@ func (e *GateError) Error() string {
 	return fmt.Sprintf("serve: promotion gate rejected the candidate: %s", strings.Join(e.Report.Reasons, "; "))
 }
 
-// shadowScenario assembles the fixed replay: the config's scenario fields
-// read as a run job with training off, and the bundle under test installed.
-func (g GateConfig) shadowScenario(bundle []byte) (bench.Scenario, error) {
-	train := false
-	s, err := ExperimentSpec{
-		Scheme: g.Scheme, Topo: g.Topo, Workload: g.Workload, Load: g.Load, Seed: g.Seed,
-		Train: &train, Warmup: g.Warmup, Duration: g.Duration,
-	}.scenario()
-	s.Models = bundle
-	return s, err
+// gateReplay is the fixed replay document: websearch at load 0.5, seed 1,
+// 2ms warm-up and 5ms measurement on the named fabric, training off so
+// neither policy moves.
+func gateReplay(fabric, scheme string) *bench.ScenarioSpec {
+	load := 0.5
+	warmup, duration := bench.SimDuration(2*sim.Millisecond), bench.SimDuration(5*sim.Millisecond)
+	return &bench.ScenarioSpec{
+		Topo:     &bench.TopoSpec{Preset: fabric},
+		Seed:     1,
+		Workload: &bench.WorkloadSpec{Name: "websearch"},
+		Load:     &load,
+		Scheme:   scheme,
+		Warmup:   &warmup,
+		Duration: &duration,
+	}
 }
 
-// shadowScore replays the gate scenario with one bundle and scores it.
-func shadowScore(ctx context.Context, g GateConfig, bundle []byte) (GateScore, error) {
-	s, err := g.shadowScenario(bundle)
+// shadowScore replays the gate document with one bundle installed and
+// scores it.
+func shadowScore(ctx context.Context, doc *bench.ScenarioSpec, bundle []byte) (GateScore, error) {
+	s, err := doc.ToScenario()
 	if err != nil {
 		return GateScore{}, err
 	}
+	s.Models = bundle
 	env, err := bench.NewEnv(s)
 	if err != nil {
 		return GateScore{}, fmt.Errorf("serve: assembling shadow run: %w", err)
@@ -178,19 +163,21 @@ func shadowScore(ctx context.Context, g GateConfig, bundle []byte) (GateScore, e
 }
 
 // RunGate shadow-scores candidate against serving on the gate's fixed
-// scenario and renders the verdict. A nil/empty serving bundle means no
-// incumbent: the candidate is scored alone and passes (there is nothing to
-// regress against). The error is non-nil only when a shadow run itself
+// replay over fabric (a topo preset name: the serving fabric) and renders
+// the verdict. A nil/empty serving bundle means no incumbent: the
+// candidate is scored alone and passes (there is nothing to regress
+// against). The error is non-nil only when a shadow run itself
 // fails (bad config, unloadable bundle, cancelled context) — a failing
 // verdict is Pass=false with Reasons, not an error.
-func RunGate(ctx context.Context, cfg GateConfig, serving, candidate []byte) (GateReport, error) {
+func RunGate(ctx context.Context, cfg GateConfig, fabric string, serving, candidate []byte) (GateReport, error) {
 	g := cfg.withDefaults()
+	doc := gateReplay(fabric, g.Scheme)
 	report := GateReport{
 		Scenario: fmt.Sprintf("%s/%s %s load %g seed %d, %s warmup + %s",
-			g.Topo, g.Scheme, workloadName(g.Workload), g.Load, g.Seed, g.Warmup, g.Duration),
+			fabric, g.Scheme, doc.Workload.Name, *doc.Load, doc.Seed, doc.Warmup, doc.Duration),
 	}
 	var err error
-	if report.Candidate, err = shadowScore(ctx, g, candidate); err != nil {
+	if report.Candidate, err = shadowScore(ctx, doc, candidate); err != nil {
 		return report, fmt.Errorf("serve: gating candidate: %w", err)
 	}
 	if len(serving) == 0 {
@@ -198,7 +185,7 @@ func RunGate(ctx context.Context, cfg GateConfig, serving, candidate []byte) (Ga
 		return report, nil
 	}
 	report.Incumbent = true
-	if report.Serving, err = shadowScore(ctx, g, serving); err != nil {
+	if report.Serving, err = shadowScore(ctx, doc, serving); err != nil {
 		return report, fmt.Errorf("serve: gating incumbent: %w", err)
 	}
 
@@ -235,12 +222,4 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// workloadName renders the workload for the report line ("" = default).
-func workloadName(w string) string {
-	if w == "" {
-		return "websearch"
-	}
-	return w
 }

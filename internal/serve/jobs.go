@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -15,7 +16,6 @@ import (
 	"pet/internal/bench"
 	"pet/internal/fleet"
 	"pet/internal/modelstore"
-	"pet/internal/sim"
 	"pet/internal/telemetry"
 )
 
@@ -73,6 +73,16 @@ func summarize(res bench.Result) *RunSummary {
 		LatencyP99Us: res.LatencyP99Us,
 		QueueAvgKB:   res.QueueAvgKB,
 	}
+}
+
+// runName labels a scenario "scheme/workload" for log lines, naming the
+// defaults bench fills in for empty fields.
+func runName(s bench.Scenario) string {
+	wl := "WebSearch"
+	if s.Workload != nil {
+		wl = s.Workload.Name()
+	}
+	return fmt.Sprintf("%s/%s", cmp.Or(s.Scheme, bench.SchemeSECN1), wl)
 }
 
 // PretrainSummary is the result view of a completed pre-training job.
@@ -164,9 +174,9 @@ type Manager struct {
 }
 
 // NewManager returns a manager running at most maxConcurrent simulations
-// at once (0 = 1 per core, minimum 1); tele (nil ok) is threaded into every
-// job's scenario and receives the manager's own petd_jobs_* series; logf
-// (nil = silent) receives one line per job state change.
+// at once (0 = 1); tele (nil ok) is threaded into every job's scenario and
+// receives the manager's own petd_jobs_* series; logf (nil = silent)
+// receives one line per job state change.
 func NewManager(maxConcurrent int, tele *telemetry.Registry, logf func(string, ...any)) *Manager {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 1
@@ -190,7 +200,7 @@ func NewManager(maxConcurrent int, tele *telemetry.Registry, logf func(string, .
 
 // Launch validates a spec, registers the job and starts its goroutine.
 func (m *Manager) Launch(spec ExperimentSpec) (JobStatus, error) {
-	spec, err := spec.normalized()
+	spec, s, err := spec.normalized()
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -229,7 +239,7 @@ func (m *Manager) Launch(spec ExperimentSpec) (JobStatus, error) {
 	m.mu.Unlock()
 
 	m.started.Inc()
-	m.logf("job %s: accepted (%s %s/%s)", id, spec.Kind, spec.Scheme, spec.Workload)
+	m.logf("job %s: accepted (%s %s)", id, spec.Kind, runName(s))
 	go m.execute(ctx, j)
 	return j.snapshot(), nil
 }
@@ -413,14 +423,10 @@ func (m *Manager) runPretrain(ctx context.Context, j *job, spec ExperimentSpec) 
 		return err
 	}
 	s.Telemetry = m.tele
-	episode := s.Duration
-	if episode == 0 {
-		episode = 100 * sim.Millisecond // pettrain's default episode length
-	}
 	cfg := fleet.Config{
 		Workers:    spec.Workers,
 		Rounds:     spec.Rounds,
-		Episode:    episode,
+		Episode:    cmp.Or(s.Duration, fleet.DefaultEpisode),
 		Checkpoint: spec.Checkpoint,
 		Resume:     spec.Resume,
 		Faults:     m.faults.fleetFaults(),

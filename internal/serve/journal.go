@@ -12,8 +12,10 @@ import (
 
 // journalVersion stamps every entry this daemon writes. Replay skips entries
 // from other versions with a logged warning instead of failing the boot, so
-// a journal written by a newer daemon never bricks an older one.
-const journalVersion = 1
+// a journal written by a newer daemon never bricks an older one. Version 2
+// specs carry their scenario only as a document; a v1 spec's flat scenario
+// fields would decode to nothing, so v1 entries are skipped, never resumed.
+const journalVersion = 2
 
 // JournalEntry is one line of the job journal: a spec (on the pending
 // record) or a status transition. The journal is append-only JSONL with the

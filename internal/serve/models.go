@@ -240,8 +240,8 @@ func (s *Server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelPromote is POST /models/{ref}/promote. An optional JSON body
-// overrides the daemon's gate config for this one promotion (e.g. a longer
-// shadow window); an empty body uses the default.
+// overrides the daemon's gate config (scheme, thresholds) for this one
+// promotion; an empty body uses the default.
 func (s *Server) handleModelPromote(w http.ResponseWriter, r *http.Request) {
 	var gate *GateConfig
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -308,14 +308,11 @@ func (s *Server) Promote(ctx context.Context, ref string, gate *GateConfig) (Pro
 	if gate != nil {
 		gcfg = *gate
 	}
-	// The gate replays on the serving fabric unless told otherwise.
-	if gcfg.Topo == "" {
-		gcfg.Topo = s.infer.opts.Topo
-	}
 	if gcfg.Scheme == "" {
 		gcfg.Scheme = s.cfg.Gate.Scheme
 	}
-	report, err := RunGate(ctx, gcfg, servingBundle, bundle)
+	// The gate replays on the serving fabric.
+	report, err := RunGate(ctx, gcfg, s.infer.opts.Topo, servingBundle, bundle)
 	if err != nil {
 		// A candidate that cannot even replay the shadow scenario (corrupt
 		// or incompatible bundle) is the same rejection class as a failed

@@ -554,6 +554,29 @@ func TestPromoteGateRejects(t *testing.T) {
 	}
 }
 
+// TestPromoteOverrideRejectsScenarioFields: the gate replays a fixed
+// document; an override naming one of its fields is a 400 and promotes
+// nothing.
+func TestPromoteOverrideRejectsScenarioFields(t *testing.T) {
+	srv, store, ts := newStoreServer(t, Config{})
+	postBundle(t, ts, mustBundle(t), "")
+	resp, err := http.Post(ts.URL+"/models/1/promote", "application/json", strings.NewReader(`{"load":0.9}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	decodeTestJSON(t, resp, http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, `"load"`) {
+		t.Fatalf("400 body %q does not name the field", apiErr.Error)
+	}
+	if _, err := store.Channel(modelstore.ChannelServing); err == nil {
+		t.Fatal("a rejected override promoted the candidate")
+	}
+	if ref := srv.Infer().Model(); ref.Version != 0 {
+		t.Fatalf("live pool moved to %d on a rejected override", ref.Version)
+	}
+}
+
 // TestPromoteCorruptRejects: a bundle that cannot load is rejected 422
 // (typed *SwapError through the Go API) and serving stays put.
 func TestPromoteCorruptRejects(t *testing.T) {
@@ -622,7 +645,7 @@ func TestModelIngestFromJob(t *testing.T) {
 
 	// publish: true lands the trained bundle in the store as "candidate".
 	st, err := srv.Jobs().Launch(ExperimentSpec{
-		Kind: KindPretrain, Load: 0.5, Seed: 1, Duration: "5ms", Workers: 1, Rounds: 1, Publish: true,
+		Kind: KindPretrain, Scenario: pretrainDoc("5ms"), Workers: 1, Rounds: 1, Publish: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -698,7 +721,7 @@ func TestGateVerdicts(t *testing.T) {
 	ctx := context.Background()
 
 	// No incumbent: any loadable candidate passes.
-	rep, err := RunGate(ctx, GateConfig{}, nil, bundleA)
+	rep, err := RunGate(ctx, GateConfig{}, "tiny", nil, bundleA)
 	if err != nil || !rep.Pass || rep.Incumbent {
 		t.Fatalf("no-incumbent gate: %+v, %v", rep, err)
 	}
@@ -707,7 +730,7 @@ func TestGateVerdicts(t *testing.T) {
 	}
 
 	// Identical bundles under default thresholds: zero deltas pass.
-	rep, err = RunGate(ctx, GateConfig{}, bundleA, bundleA)
+	rep, err = RunGate(ctx, GateConfig{}, "tiny", bundleA, bundleA)
 	if err != nil || !rep.Pass {
 		t.Fatalf("self-comparison failed the gate: %+v, %v", rep, err)
 	}
@@ -716,13 +739,13 @@ func TestGateVerdicts(t *testing.T) {
 	}
 
 	// Impossible thresholds: deterministic rejection with reasons.
-	rep, err = RunGate(ctx, forceFailGate, bundleA, bundleA)
+	rep, err = RunGate(ctx, forceFailGate, "tiny", bundleA, bundleA)
 	if err != nil || rep.Pass || len(rep.Reasons) == 0 {
 		t.Fatalf("force-fail gate passed: %+v, %v", rep, err)
 	}
 
 	// Unloadable candidate: an error, not a verdict.
-	if _, err := RunGate(ctx, GateConfig{}, bundleA, []byte("junk")); err == nil {
+	if _, err := RunGate(ctx, GateConfig{}, "tiny", bundleA, []byte("junk")); err == nil {
 		t.Fatal("junk candidate produced a verdict")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -28,15 +29,23 @@ func decodeTestJSON(t *testing.T, resp *http.Response, wantCode int, v any) {
 	}
 }
 
+// docSpec wraps a scenario document into a run job.
+func docSpec(doc string) ExperimentSpec {
+	return ExperimentSpec{Scenario: json.RawMessage(doc)}
+}
+
 // quickRunSpec is a seconds-fast measurement job.
-func quickRunSpec() ExperimentSpec {
-	return ExperimentSpec{
-		Scheme:   "SECN1",
-		Load:     0.5,
-		Seed:     1,
-		Warmup:   "2ms",
-		Duration: "3ms",
-	}
+func quickRunSpec() ExperimentSpec { return quickRunFor("3ms") }
+
+// quickRunFor is quickRunSpec with a measurement window of duration.
+func quickRunFor(duration string) ExperimentSpec {
+	return docSpec(fmt.Sprintf(`{"seed":1,"load":0.5,"scheme":"SECN1","train":true,"warmup":"2ms","duration":%q}`, duration))
+}
+
+// pretrainDoc is the scenario of the quick pretrain jobs: PET training on
+// the tiny fabric, episodes of duration.
+func pretrainDoc(duration string) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(`{"seed":1,"load":0.5,"scheme":"PET","train":true,"duration":%q}`, duration))
 }
 
 // waitTerminal polls a job to a terminal state.
@@ -94,9 +103,7 @@ func TestJobLifecyclePretrain(t *testing.T) {
 
 	st, err := m.Launch(ExperimentSpec{
 		Kind:     KindPretrain,
-		Load:     0.5,
-		Seed:     1,
-		Duration: "5ms",
+		Scenario: pretrainDoc("5ms"),
 		Workers:  1,
 		Rounds:   1,
 	})
@@ -120,9 +127,7 @@ func TestJobCancellation(t *testing.T) {
 	m := NewManager(1, nil, t.Logf)
 	defer m.Shutdown(context.Background())
 
-	spec := quickRunSpec()
-	spec.Duration = "2s" // long enough that cancellation lands mid-run
-	st, err := m.Launch(spec)
+	st, err := m.Launch(quickRunFor("2s")) // long enough that cancellation lands mid-run
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -144,21 +149,21 @@ func TestLaunchValidation(t *testing.T) {
 	defer m.Shutdown(context.Background())
 
 	cases := []ExperimentSpec{
-		{Kind: "restart"},                  // unknown kind
-		{Scheme: "NOPE"},                   // unregistered scheme
-		{Topo: "galactic"},                 // unknown topo
-		{Workload: "llm"},                  // unknown workload
-		{Load: 1.5},                        // out of range
-		{IncastFraction: 2},                // out of range
-		{IncastFanIn: -1},                  // negative fan-in
-		{Duration: "banana"},               // unparseable duration
-		{Workers: 4},                       // fleet knob on a run job
-		{Kind: KindPretrain, Load: -0.25},  // bad load, pretrain kind
-		{Kind: KindRun, Checkpoint: "dir"}, // fleet knob on a run job
+		{Kind: "restart"},                                                 // unknown kind
+		docSpec(`{"scheme":"NOPE"}`),                                      // unregistered scheme
+		docSpec(`{"topo":{"preset":"galactic"}}`),                         // unknown topo
+		docSpec(`{"workload":{"name":"llm"}}`),                            // unknown workload
+		docSpec(`{"load":1.5}`),                                           // out of range
+		docSpec(`{"incast_fraction":2}`),                                  // out of range
+		docSpec(`{"incast_fan_in":-1}`),                                   // negative fan-in
+		docSpec(`{"duration":"banana"}`),                                  // unparseable duration
+		{Workers: 4},                                                      // fleet knob on a run job
+		{Kind: KindPretrain, Scenario: json.RawMessage(`{"load":-0.25}`)}, // bad load, pretrain kind
+		{Kind: KindRun, Checkpoint: "dir"},                                // fleet knob on a run job
 	}
 	for _, spec := range cases {
 		if _, err := m.Launch(spec); err == nil {
-			t.Errorf("Launch(%+v) accepted an invalid spec", spec)
+			t.Errorf("Launch(kind %q, scenario %s) accepted an invalid spec", spec.Kind, spec.Scenario)
 		}
 	}
 	if n := len(m.List()); n != 0 {
@@ -185,7 +190,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Launch via POST.
 	resp, err := http.Post(ts.URL+"/experiments", "application/json",
-		strings.NewReader(`{"scheme":"SECN1","load":0.5,"warmup":"2ms","duration":"3ms"}`))
+		strings.NewReader(`{"scenario":{"seed":1,"load":0.5,"scheme":"SECN1","train":true,"warmup":"2ms","duration":"3ms"}}`))
 	if err != nil {
 		t.Fatalf("POST /experiments: %v", err)
 	}
@@ -194,7 +199,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Bad spec → 400 with a JSON error envelope.
 	resp, err = http.Post(ts.URL+"/experiments", "application/json",
-		strings.NewReader(`{"scheme":"NOPE"}`))
+		strings.NewReader(`{"scenario":{"scheme":"NOPE"}}`))
 	if err != nil {
 		t.Fatalf("POST bad spec: %v", err)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"pet/internal/bench"
+	"pet/internal/sim"
 	"pet/internal/telemetry"
 
 	// The canned scenario library selects PET over dcqcn/dctcp; register
@@ -20,13 +21,22 @@ import (
 	_ "pet/internal/dctcp"
 )
 
-// scenarioJob wraps a scenario document into a launchable spec with short
-// job-level windows so tests stay fast.
-func scenarioJob(doc string) ExperimentSpec {
-	return ExperimentSpec{
-		Scenario: json.RawMessage(doc),
-		Warmup:   "2ms",
-		Duration: "3ms",
+// TestEmptySpecRunsPET: a job without a document runs defaultScenario, the
+// learned controller with online training on.
+func TestEmptySpecRunsPET(t *testing.T) {
+	sp, s, err := ExperimentSpec{}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Kind != KindRun || s.Scheme != bench.SchemePET || !s.Train {
+		t.Fatalf("ExperimentSpec{} = kind %q, scheme %q, train %v; want run, PET, true", sp.Kind, s.Scheme, s.Train)
+	}
+	// The accepted log line names the resolved run, defaults included.
+	if got := runName(s); got != "PET/WebSearch" {
+		t.Fatalf("runName(ExperimentSpec{}) = %q, want PET/WebSearch", got)
+	}
+	if _, s, _ = docSpec(`{"load":0.5}`).normalized(); runName(s) != "SECN1/WebSearch" {
+		t.Fatalf("runName({load 0.5}) = %q, want SECN1/WebSearch", runName(s))
 	}
 }
 
@@ -34,10 +44,12 @@ func TestScenarioSpecJobRuns(t *testing.T) {
 	m := NewManager(1, telemetry.New(), t.Logf)
 	defer m.Shutdown(context.Background())
 
-	st, err := m.Launch(scenarioJob(`{
+	st, err := m.Launch(docSpec(`{
 		"seed": 3,
 		"scheme": "SECN1",
 		"load": 0.5,
+		"warmup": "2ms",
+		"duration": "3ms",
 		"events": [{"at": "1500us", "kind": "load-change", "load": 0.9}]
 	}`))
 	if err != nil {
@@ -63,27 +75,22 @@ func TestScenarioSpecJobValidation(t *testing.T) {
 	}{
 		{
 			"unknown field names path",
-			scenarioJob(`{"topo": {"spine": 2}}`),
+			docSpec(`{"topo": {"spine": 2}}`),
 			"topo.spine: unknown field",
 		},
 		{
 			"unknown scheme names path",
-			scenarioJob(`{"scheme": "NOPE"}`),
+			docSpec(`{"scheme": "NOPE"}`),
 			"scheme: bench: unknown scheme",
 		},
 		{
 			"bad event names index",
-			scenarioJob(`{"events": [{"at": "1ms", "kind": "quake"}]}`),
+			docSpec(`{"events": [{"at": "1ms", "kind": "quake"}]}`),
 			"events[0].kind",
 		},
 		{
-			"flat fields conflict",
-			ExperimentSpec{Scenario: json.RawMessage(`{"load": 0.5}`), Load: 0.5},
-			"mutually exclusive",
-		},
-		{
 			"invalid json",
-			scenarioJob(`{`),
+			docSpec(`{`),
 			"invalid JSON",
 		},
 	}
@@ -106,7 +113,7 @@ func TestScenarioSpecHTTP400(t *testing.T) {
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/experiments", "application/json",
-		strings.NewReader(`{"scenario": {"topo": {"spine": 2}}, "duration": "2ms"}`))
+		strings.NewReader(`{"scenario": {"topo": {"spine": 2}, "duration": "2ms"}}`))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
@@ -116,9 +123,19 @@ func TestScenarioSpecHTTP400(t *testing.T) {
 		t.Fatalf("400 body %q does not name the JSON path", apiErr.Error)
 	}
 
+	// A scenario field outside the document is an unknown field of the job.
+	resp, err = http.Post(ts.URL+"/experiments", "application/json", strings.NewReader(`{"scheme":"SECN1"}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	decodeTestJSON(t, resp, http.StatusBadRequest, &apiErr)
+	if !strings.Contains(apiErr.Error, `"scheme"`) {
+		t.Fatalf("400 body %q does not name the field", apiErr.Error)
+	}
+
 	// A good embedded document is accepted end to end.
 	resp, err = http.Post(ts.URL+"/experiments", "application/json",
-		strings.NewReader(`{"scenario": {"scheme": "SECN1", "load": 0.4}, "warmup": "1ms", "duration": "2ms"}`))
+		strings.NewReader(`{"scenario": {"scheme": "SECN1", "load": 0.4, "warmup": "1ms", "duration": "2ms"}}`))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
@@ -141,8 +158,7 @@ func TestCannedScenariosAsJobSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := ExperimentSpec{Scenario: json.RawMessage(doc)}
-		if _, err := sp.normalized(); err != nil {
+		if _, _, err := docSpec(string(doc)).normalized(); err != nil {
 			t.Errorf("%s rejected as a job spec: %v", filepath.Base(f), err)
 		}
 	}
@@ -153,8 +169,17 @@ func TestCannedScenariosAsJobSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := scenarioJob(string(doc))
-	st, err := m.Launch(spec)
+	// Shorten the canned windows so the test stays fast.
+	sp, err := bench.DecodeScenarioSpec(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmup, duration := bench.SimDuration(2*sim.Millisecond), bench.SimDuration(3*sim.Millisecond)
+	sp.Warmup, sp.Duration = &warmup, &duration
+	if doc, err = sp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Launch(docSpec(string(doc)))
 	if err != nil {
 		t.Fatalf("Launch failure-storm: %v", err)
 	}
@@ -162,4 +187,39 @@ func TestCannedScenariosAsJobSpecs(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("failure-storm finished %s (error %q)", done.State, done.Error)
 	}
+}
+
+// FuzzExperimentSpec decodes arbitrary POST /experiments bodies as strictly
+// as the handler does, then validates them: an error or a launchable spec,
+// never a panic.
+func FuzzExperimentSpec(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no scenario library found: %v", err)
+	}
+	for _, file := range files {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(`{"scenario":` + string(doc) + `}`))
+		f.Add([]byte(`{"kind":"pretrain","scenario":` + string(doc) + `}`))
+	}
+	// The README's request bodies.
+	f.Add([]byte(`{"scenario":{"scheme":"PET","load":0.6,"duration":"60ms"}}`))
+	f.Add([]byte(`{"kind":"pretrain","scenario":{"duration":"8ms"},"workers":2,"rounds":3}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var spec ExperimentSpec
+		if err := decodeJSONStrict(raw, &spec); err != nil {
+			return
+		}
+		sp, _, err := spec.normalized()
+		if err != nil {
+			return
+		}
+		if (sp.Kind != KindRun && sp.Kind != KindPretrain) || len(sp.Scenario) == 0 {
+			t.Fatalf("accepted spec has kind %q, scenario %q", sp.Kind, sp.Scenario)
+		}
+	})
 }

@@ -238,6 +238,10 @@ type (
 	FleetRound = fleet.RoundStats
 )
 
+// DefaultEpisode is the pre-training episode length of a scenario that sets
+// no duration.
+const DefaultEpisode = fleet.DefaultEpisode
+
 // PretrainFleet runs the offline training phase on a pool of parallel
 // rollout workers: each round, every worker simulates one
 // independently-seeded episode of dur from the current global models, and
